@@ -5,11 +5,12 @@
 //!
 //! The elastic claim: sharding only pays off while the hot block is alone
 //! on a small shard.  Under static hash routing a hot block lands on a
-//! shard that owns ~1/N of the corpus, so every batch re-scans that whole
-//! shard's block membership; the elastic engine migrates the block onto a
-//! near-empty spare shard, cutting per-batch work to the block itself —
-//! and when the workload's hot spot drifts (`StreamConfig::with_hot_drift`),
-//! it keeps chasing.  Timed elastic batches **include** the
+//! shard that owns ~1/N of the corpus, so every batch pays the per-batch
+//! bookkeeping that grows with that shard, such as its block-map clone at
+//! publish; the elastic engine migrates the block onto a near-empty spare
+//! shard, cutting per-batch work to the block itself — and when the
+//! workload's hot spot drifts (`StreamConfig::with_hot_drift`), it keeps
+//! chasing.  Timed elastic batches **include** the
 //! `rebalance_hot` call, so migration cost is charged to the policy that
 //! caused it; the one-time `split_shard` is untimed provisioning.
 //!

@@ -162,7 +162,13 @@ fn bench_reads(
     client: &mut NetClient,
 ) {
     let generation = engine.current_epoch().generation();
-    let row = engine.relation().rows()[0].id;
+    let row = engine
+        .relation()
+        .rows()
+        .iter()
+        .next()
+        .expect("live rows")
+        .id;
     let mut group = c.benchmark_group("net/med-mixed");
     group.sample_size(10);
     group.bench_function("tcp_point_read", |b| {

@@ -179,7 +179,13 @@ fn serve_report() -> IncrementalEngine {
 /// Group output: both read paths over the final state.
 fn bench_reads(c: &mut Criterion, engine: &IncrementalEngine) {
     let epoch = engine.current_epoch();
-    let row = engine.relation().rows()[0].id;
+    let row = engine
+        .relation()
+        .rows()
+        .iter()
+        .next()
+        .expect("live rows")
+        .id;
     let positions = position_map(engine);
     let mut group = c.benchmark_group("serve/med-mixed");
     group.sample_size(10);

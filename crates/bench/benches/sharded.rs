@@ -2,14 +2,15 @@
 //! [`IncrementalEngine`] on a hot-shard-skewed Med update stream.
 //!
 //! The sharded claim: a row batch only costs work **in the shards it
-//! touches**.  A single incremental engine re-scans the whole corpus'
-//! block membership per update; a sharded engine routes the batch by
-//! blocking key and the untouched shards do nothing at all.  The replayed
-//! stream uses the hot-shard skew mix (`StreamConfig::with_hot_mix`), the
-//! concentrated-update regime sharding is for — a heavy streaming workload
-//! hammering a hot entity while the rest of the corpus idles (deletes
-//! offset inserts, so the hot block stays seed-sized and the per-batch
-//! repair work is constant while the corpus scan is what scales).
+//! touches**.  A sharded engine routes the batch by blocking key and the
+//! untouched shards do nothing at all.  A single engine's commit reads
+//! only the dirty blocks' rows too, so what sharding can still save is the
+//! per-batch bookkeeping that grows with an engine's size, such as the
+//! block-map clone at publish.  The replayed stream uses the hot-shard
+//! skew mix (`StreamConfig::with_hot_mix`), the concentrated-update regime
+//! sharding is for — a heavy streaming workload hammering a hot entity
+//! while the rest of the corpus idles (deletes offset inserts, so the hot
+//! block stays seed-sized and the per-batch repair work is constant).
 //!
 //! Both engines run single-threaded, so `sharded_vs_single_speedup`
 //! compares algorithmic work (how much of the corpus an update touches),

@@ -563,11 +563,15 @@ impl EpochHub {
         let epoch = Arc::new(epoch);
         state.epochs.push_back(Arc::clone(&epoch));
         let retain = state.retain.max(1);
+        let mut evicted = Vec::new();
         while state.epochs.len() > retain {
-            state.epochs.pop_front();
+            evicted.extend(state.epochs.pop_front());
         }
         drop(state);
         self.inner.published.notify_all();
+        // an evicted epoch that nobody else pins is freed here, outside the
+        // lock, so readers never wait on the drop
+        drop(evicted);
         epoch
     }
 

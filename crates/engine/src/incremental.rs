@@ -408,10 +408,9 @@ impl IncrementalEngine {
         };
         // initial repair: every block is dirty
         let all: BTreeSet<BlockKey> = this
-            .relation
-            .rows()
-            .iter()
-            .filter_map(|r| this.index.block_of_row(r.id).cloned())
+            .index
+            .block_members()
+            .map(|(key, _)| key.clone())
             .collect();
         this.rerepair(all, true);
         this
@@ -598,30 +597,32 @@ impl IncrementalEngine {
     /// Stage 1 of a re-repair: snapshot every dirty block into a
     /// self-contained [`BlockJob`] (rows cloned, cached repair pinned), drop
     /// blocks that lost their last live row, and pre-compute the
-    /// membership-derived outcome counters.  Cheap and sequential; the
-    /// expensive stages operate on the returned jobs without borrowing the
-    /// engine, which is what lets the sharded engine flatten jobs of many
-    /// shards into one stolen work list.
+    /// membership-derived outcome counters.  Cheap and sequential — the
+    /// index's member lists name each dirty block's rows, so the cost is the
+    /// dirty rows, not the relation; the expensive stages operate on the
+    /// returned jobs without borrowing the engine, which is what lets the
+    /// sharded engine flatten jobs of many shards into one stolen work list.
     pub(crate) fn prepare_rerepair(
         &mut self,
         dirty: BTreeSet<BlockKey>,
         reresolve: bool,
     ) -> PreparedRepair {
-        let membership = self.block_membership();
         let mut dropped_blocks = 0usize;
         let mut jobs: Vec<BlockJob> = Vec::new();
         for key in &dirty {
-            let Some(globals) = membership.get(key) else {
+            let Some(members) = self.index.members(key) else {
                 self.blocks.remove(key);
                 dropped_blocks += 1;
                 continue;
             };
-            let mut row_ids = Vec::with_capacity(globals.len());
-            let mut rows = Vec::with_capacity(globals.len());
-            for &(global, id) in globals {
-                row_ids.push(id);
-                rows.push(self.relation.rows()[global].tuple.clone());
-            }
+            let row_ids = members.to_vec();
+            let rows = row_ids
+                .iter()
+                .map(|&id| {
+                    let row = self.relation.row(id).expect("indexed rows are live");
+                    row.tuple.clone()
+                })
+                .collect::<Vec<_>>();
             let cached = self.blocks.get(key).cloned();
             if !reresolve {
                 let repair = cached.as_ref().expect("plan-delta dirty blocks are cached");
@@ -636,11 +637,13 @@ impl IncrementalEngine {
             });
         }
         let alive_dirty = dirty.len() - dropped_blocks;
-        let clean_blocks = membership.len() - alive_dirty;
-        let entities_reused: usize = membership
+        let clean_blocks = self.index.blocks() - alive_dirty;
+        // every clean block is live and cached, and dropped blocks are gone
+        let entities_reused: usize = self
+            .blocks
             .iter()
             .filter(|(key, _)| !dirty.contains(*key))
-            .map(|(key, _)| self.blocks.get(key).map_or(0, |b| b.entities.len()))
+            .map(|(_, b)| b.entities.len())
             .sum();
         PreparedRepair {
             dirty,
@@ -785,21 +788,6 @@ impl IncrementalEngine {
         self.hub.set_retention(epochs);
     }
 
-    /// The live blocks with their member rows as `(global index, row id)`
-    /// pairs, keyed by block, membership in snapshot order.
-    fn block_membership(&self) -> HashMap<BlockKey, Vec<(usize, RowId)>> {
-        let mut membership: HashMap<BlockKey, Vec<(usize, RowId)>> = HashMap::new();
-        for (global, row) in self.relation.rows().iter().enumerate() {
-            let key = self
-                .index
-                .block_of_row(row.id)
-                .expect("every live row is indexed")
-                .clone();
-            membership.entry(key).or_default().push((global, row.id));
-        }
-        membership
-    }
-
     /// The cached repairs of every live block, rebased from block-local to
     /// this engine's relation row positions, in no particular order.
     ///
@@ -808,14 +796,19 @@ impl IncrementalEngine {
     /// sharded engine remaps each shard's positions to corpus-global ones
     /// first and merges all shards' blocks into the same canonical order.
     pub(crate) fn assembled_blocks(&self) -> Vec<AssembledBlock> {
-        let membership = self.block_membership();
-        let mut out = Vec::with_capacity(membership.len());
-        for (key, globals) in &membership {
+        // rows are in ascending id order, so a row's position is its rank
+        let order: Vec<RowId> = self.relation.rows().iter().map(|r| r.id).collect();
+        let mut out = Vec::with_capacity(self.index.blocks());
+        for (key, members) in self.index.block_members() {
             let repair = self
                 .blocks
                 .get(key)
                 .expect("every live block has a cached repair");
-            debug_assert_eq!(repair.rows.len(), globals.len(), "stale block cache");
+            debug_assert_eq!(repair.rows, members, "stale block cache");
+            let globals: Vec<usize> = members
+                .iter()
+                .map(|id| order.binary_search(id).expect("indexed rows are live"))
+                .collect();
             debug_assert_eq!(
                 self.stamp,
                 self.engine.plan().stamp(),
@@ -826,8 +819,8 @@ impl IncrementalEngine {
                 .decisions
                 .iter()
                 .map(|d| MatchDecision {
-                    left: globals[d.left].0,
-                    right: globals[d.right].0,
+                    left: globals[d.left],
+                    right: globals[d.right],
                     similarity: d.similarity,
                     matched: d.matched,
                     pruned: d.pruned,
@@ -837,12 +830,12 @@ impl IncrementalEngine {
                 .entities
                 .iter()
                 .map(|be| {
-                    let members: Vec<usize> = be.members.iter().map(|&l| globals[l].0).collect();
+                    let members: Vec<usize> = be.members.iter().map(|&l| globals[l]).collect();
                     (members, be.result.clone())
                 })
                 .collect();
             out.push(AssembledBlock {
-                first_row: globals.first().map_or(usize::MAX, |&(g, _)| g),
+                first_row: globals.first().copied().unwrap_or(usize::MAX),
                 decisions,
                 entities,
                 stats: repair.stats,

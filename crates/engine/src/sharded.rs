@@ -76,9 +76,9 @@ use crate::incremental::{
 };
 use crate::pool::par_map_with;
 use relacc_core::chase::MasterUpdate;
-use relacc_model::{EntityInstance, SchemaRef, Value};
+use relacc_model::{EntityInstance, SchemaRef, Tuple, Value};
 use relacc_resolve::{BlockKey, Blocker, ResolveConfig};
-use relacc_store::{Generation, Relation, RowId, UpdateBatch, UpdateError};
+use relacc_store::{validate_batch, Generation, Relation, RowId, UpdateBatch, UpdateError};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -383,27 +383,16 @@ impl ShardedEngine {
     /// into per-shard sub-batches, and run the staged pipeline: per-shard
     /// prepare (concurrent), flattened block-level resolution + one pooled
     /// chase (stolen at block/entity granularity across shards), per-shard
-    /// commit (ordered).  Untouched shards do no work at all — not even a
-    /// membership scan.
+    /// commit (ordered).  Untouched shards do no work at all.
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<UpdateOutcome, IncrementalError> {
         if batch.relation != self.name {
             return Err(IncrementalError::Update(UpdateError::NoSuchRelation(
                 batch.relation.clone(),
             )));
         }
-        // validate everything before mutating: deletes (liveness, intra-batch
-        // duplicates) first, then insert schemas
-        let mut doomed: HashSet<RowId> = HashSet::with_capacity(batch.deletes.len());
-        for &id in &batch.deletes {
-            if !doomed.insert(id) || !self.route.contains_key(&id) {
-                return Err(IncrementalError::Update(UpdateError::NoSuchRow(id)));
-            }
-        }
-        for row in &batch.inserts {
-            self.schema
-                .validate_row(row)
-                .map_err(|e| IncrementalError::Update(UpdateError::Schema(e)))?;
-        }
+        // validate everything before mutating
+        validate_batch(&self.schema, |id| self.route.contains_key(&id), batch)
+            .map_err(IncrementalError::Update)?;
 
         // split: deletes route through the live map, inserts by blocking key
         // through the routing table (global ids are assigned after all
@@ -910,23 +899,22 @@ impl ShardedEngine {
     /// global row id == insertion order), plus, per shard, the map from
     /// shard-local row position to global row position.
     fn global_rows(&self) -> (Relation, Vec<Vec<usize>>) {
-        let mut rows: Vec<(RowId, usize, usize)> = Vec::with_capacity(self.route.len());
+        let mut rows: Vec<(RowId, usize, usize, &Tuple)> = Vec::with_capacity(self.route.len());
         for (shard_idx, shard) in self.shards.iter().enumerate() {
             for (local_pos, row) in shard.relation().rows().iter().enumerate() {
                 let gid = self.global_of_local[shard_idx][&row.id];
-                rows.push((gid, shard_idx, local_pos));
+                rows.push((gid, shard_idx, local_pos, &row.tuple));
             }
         }
-        rows.sort_by_key(|&(gid, _, _)| gid);
+        rows.sort_by_key(|&(gid, _, _, _)| gid);
         let mut relation = Relation::new(self.schema.clone());
         let mut pos_map: Vec<Vec<usize>> = self
             .shards
             .iter()
             .map(|s| vec![usize::MAX; s.relation().len()])
             .collect();
-        for (global_pos, &(_, shard_idx, local_pos)) in rows.iter().enumerate() {
+        for (global_pos, &(_, shard_idx, local_pos, tuple)) in rows.iter().enumerate() {
             pos_map[shard_idx][local_pos] = global_pos;
-            let tuple = &self.shards[shard_idx].relation().rows()[local_pos].tuple;
             relation
                 .push_row(tuple.values().to_vec())
                 .expect("live rows were validated on insert");

@@ -16,8 +16,9 @@
 //! socket (EOF at a frame boundary — the handler exits cleanly) or sends
 //! `Subscribe`, which flips the connection into **feed mode**: the handler
 //! drains a [`relacc_serve::Subscription`] at the socket's pace and pushes
-//! one `Feed` frame per cursor advance.  In feed mode the handler keeps
-//! polling its read half on a short timeout so a half-close or a killed
+//! one `Feed` frame per cursor advance.  In feed mode the handler waits on
+//! the hub, which wakes it when an epoch is published, and between waits
+//! probes its read half with a 1 ms timeout, so a half-close or a killed
 //! client is noticed promptly and the handler (with its pinned cursor) goes
 //! away instead of wedging.
 
@@ -36,15 +37,17 @@ use std::time::Duration;
 /// Tunables of one [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Socket read timeout: the granularity at which idle handlers re-check
-    /// the shutdown flag and feed handlers poll for half-close.  Never
-    /// surfaced to the client — a timeout just loops.
+    /// Socket read timeout: the granularity at which idle request handlers
+    /// re-check the shutdown flag.  Never surfaced to the client — a timeout
+    /// just loops.  Feed handlers do not block for it: they wait on the hub
+    /// and probe the socket briefly in between.
     pub read_timeout: Duration,
     /// Socket write timeout: a response or feed push that cannot make
     /// progress for this long marks the client dead and the handler exits.
     pub write_timeout: Duration,
-    /// How long a feed handler waits for the next epoch before re-polling
-    /// the socket for half-close.
+    /// How long a feed handler waits on the hub for the next epoch before
+    /// probing the socket for half-close and stray frames.  A publish ends
+    /// the wait at once.
     pub feed_poll: Duration,
 }
 
@@ -152,6 +155,10 @@ fn accept_loop(
         let _ = handle.join();
     }
 }
+
+/// How long a feed handler's socket probe may block between waits on the
+/// hub.
+const FEED_PROBE: Duration = Duration::from_millis(1);
 
 /// Handler-side connection outcomes that end the session without being
 /// transport failures.
@@ -384,8 +391,17 @@ fn feed(
             generation: subscription.last_seen().generation(),
         },
     )?;
+    // the socket is only probed between waits on the hub, so a probe must
+    // not block for the idle read timeout; the read timeout is a socket
+    // option the halves share, but the write half never reads
+    read_half.set_read_timeout(Some(FEED_PROBE))?;
     loop {
-        // notice shutdown, half-close and stray frames between pushes
+        // wait on the hub first: a publish wakes the wait, so a commit is
+        // pushed as soon as it is published
+        if let Some(batch) = subscription.next_batch(options.feed_poll) {
+            write_frame(write_half, &Message::Feed { batch })?;
+        }
+        // then notice shutdown, half-close and stray frames
         if stop.load(Ordering::SeqCst) {
             return Ok(SessionEnd::Stopping);
         }
@@ -397,9 +413,6 @@ fn feed(
                     "unexpected frame on a subscribed connection".into(),
                 )));
             }
-        }
-        if let Some(batch) = subscription.next_batch(options.feed_poll) {
-            write_frame(write_half, &Message::Feed { batch })?;
         }
     }
 }

@@ -11,7 +11,9 @@
 //! block's entities are untouched.
 //!
 //! [`IncrementalBlockingIndex`] maintains the row-id → block-key mapping of a
-//! live (versioned) relation.  Per update it returns the dirty [`BlockKey`]s:
+//! live (versioned) relation, and per block its live member ids in ascending
+//! order, so a consumer reads a dirty block's rows without scanning the
+//! relation.  Per update it returns the dirty [`BlockKey`]s:
 //! the blocks gaining an inserted record plus the blocks that held a deleted
 //! one.  Records whose blocking key is empty (all key attributes null) are
 //! singleton blocks in [`crate::Blocker::blocks`]; the index mirrors that by
@@ -95,8 +97,9 @@ pub struct IncrementalBlockingIndex {
     blocker: Blocker,
     /// Block of every live row.
     by_row: HashMap<RowId, BlockKey>,
-    /// Live member count per block (blocks with zero members are dropped).
-    members: HashMap<BlockKey, usize>,
+    /// Live member ids per block, ascending (blocks with no live member are
+    /// dropped).
+    members: HashMap<BlockKey, Vec<RowId>>,
     key_buf: String,
 }
 
@@ -135,6 +138,18 @@ impl IncrementalBlockingIndex {
         self.by_row.get(&id)
     }
 
+    /// The live member ids of a block in ascending order; `None` when no
+    /// live row has that key.
+    pub fn members(&self, key: &BlockKey) -> Option<&[RowId]> {
+        self.members.get(key).map(Vec::as_slice)
+    }
+
+    /// Every non-empty block with its live member ids (ascending), in no
+    /// particular block order.
+    pub fn block_members(&self) -> impl Iterator<Item = (&BlockKey, &[RowId])> {
+        self.members.iter().map(|(key, ids)| (key, ids.as_slice()))
+    }
+
     /// The block a tuple *would* land in (without registering it).  Inserts
     /// with an empty blocking key land in their own singleton block.
     pub fn block_of(&mut self, id: RowId, tuple: &Tuple) -> BlockKey {
@@ -144,15 +159,21 @@ impl IncrementalBlockingIndex {
     fn add(&mut self, id: RowId, tuple: &Tuple) -> BlockKey {
         let key = BlockKey::of(&self.blocker, id, tuple, &mut self.key_buf);
         self.by_row.insert(id, key.clone());
-        *self.members.entry(key.clone()).or_insert(0) += 1;
+        let ids = self.members.entry(key.clone()).or_default();
+        // inserts take the largest id so far, so this is almost always a push
+        if let Err(pos) = ids.binary_search(&id) {
+            ids.insert(pos, id);
+        }
         key
     }
 
     fn remove(&mut self, id: RowId) -> Option<BlockKey> {
         let key = self.by_row.remove(&id)?;
-        if let Some(count) = self.members.get_mut(&key) {
-            *count -= 1;
-            if *count == 0 {
+        if let Some(ids) = self.members.get_mut(&key) {
+            if let Ok(pos) = ids.binary_search(&id) {
+                ids.remove(pos);
+            }
+            if ids.is_empty() {
                 self.members.remove(&key);
             }
         }
@@ -211,6 +232,9 @@ mod tests {
         assert_eq!(index.blocks(), 2);
         assert_eq!(index.block_of_row(RowId(0)), index.block_of_row(RowId(2)));
         assert_ne!(index.block_of_row(RowId(0)), index.block_of_row(RowId(1)));
+        let jordan = BlockKey::Key("jordan".into());
+        assert_eq!(index.members(&jordan), Some(&[RowId(0), RowId(2)][..]));
+        assert_eq!(index.block_members().count(), 2);
     }
 
     #[test]
@@ -224,6 +248,11 @@ mod tests {
         // the pippen block lost its only member and is gone
         assert_eq!(index.blocks(), 1);
         assert_eq!(index.rows(), 3);
+        assert_eq!(index.members(&BlockKey::Key("pippen".into())), None);
+        assert_eq!(
+            index.members(&BlockKey::Key("jordan".into())),
+            Some(&[RowId(0), RowId(2), RowId(3)][..])
+        );
     }
 
     #[test]

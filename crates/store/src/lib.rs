@@ -25,6 +25,6 @@ pub use catalog::{Catalog, CatalogError};
 pub use csv::{from_csv, to_csv, CsvError};
 pub use relation::{relation_of, ProjectError, Relation};
 pub use versioned::{
-    validate_batch, AppliedUpdate, Generation, RelationEpoch, RowId, UpdateBatch, UpdateError,
-    VersionedCatalog, VersionedRelation, VersionedRow,
+    validate_batch, AppliedUpdate, Generation, RelationEpoch, RowId, RowIter, Rows, UpdateBatch,
+    UpdateError, VersionedCatalog, VersionedRelation, VersionedRow, PAGE_ROWS,
 };

@@ -24,6 +24,23 @@
 //! ids for reuse).  Deterministic workload generators rely on this contract
 //! to script delete targets ahead of time.
 //!
+//! **Page layout.** A [`VersionedRelation`] keeps its live rows in
+//! ascending-id order, split into `Arc`-shared pages of at most
+//! [`PAGE_ROWS`] rows.  A row is found by binary search: over a lower bound
+//! of each page's ids, kept beside the page pointers, to pick the page, then
+//! over the ids kept beside the row pointers within it.  Applying a batch is
+//! copy-on-write per touched page: a delete edits the one page that holds
+//! its row, the inserts (whose ids are the largest) append to the last page
+//! or open new ones, and every other page stays shared with the
+//! [`RelationEpoch`]s that pin earlier generations.  A batch therefore costs
+//! the pages it touches, however large the relation and however many epochs
+//! are retained.  Copying a page copies row pointers, not rows, so a row
+//! stays where it was inserted: copying tuples page by page, at different
+//! times, would scatter them across the heap and slow every read that
+//! gathers an entity's rows.  A page that deletes leave under a quarter full
+//! is merged into a neighbour with room, so the page count stays
+//! proportional to the row count.
+//!
 //! **Per-shard id spaces.** A [`RowId`] is only meaningful relative to the
 //! relation that assigned it.  Sharded deployments (the engine's
 //! `ShardedEngine`) give every shard its **own** `VersionedRelation` — and
@@ -55,7 +72,7 @@
 
 use crate::relation::Relation;
 use relacc_model::{SchemaError, SchemaRef, Tuple, Value};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -181,7 +198,7 @@ impl From<SchemaError> for UpdateError {
 
 /// Validate an [`UpdateBatch`] without applying it: deletes first (liveness
 /// via `is_live`, plus intra-batch duplicates), then insert rows against the
-/// schema.  Returns the delete set on success.
+/// schema.
 ///
 /// This is the **single** validation prologue of batch application — shared
 /// by [`VersionedRelation::apply`] and by routers that split batches across
@@ -192,7 +209,7 @@ pub fn validate_batch(
     schema: &SchemaRef,
     mut is_live: impl FnMut(RowId) -> bool,
     batch: &UpdateBatch,
-) -> Result<HashSet<RowId>, UpdateError> {
+) -> Result<(), UpdateError> {
     let mut doomed: HashSet<RowId> = HashSet::with_capacity(batch.deletes.len());
     for &id in &batch.deletes {
         if !doomed.insert(id) || !is_live(id) {
@@ -202,24 +219,150 @@ pub fn validate_batch(
     for row in &batch.inserts {
         schema.validate_row(row)?;
     }
-    Ok(doomed)
+    Ok(())
 }
+
+/// Rows per page of a [`VersionedRelation`] (see the page layout in the
+/// module docs).
+pub const PAGE_ROWS: usize = 256;
+
+/// A page that a delete leaves with fewer rows than this is merged into a
+/// neighbour with room for it, so deletes cannot fragment the relation into
+/// many near-empty pages.
+const MERGE_BELOW: usize = PAGE_ROWS / 4;
+
+/// One slot of a page: a row's id beside the row, so that searching a page
+/// reads only its slot array.
+type Slot = (RowId, Arc<VersionedRow>);
+
+/// One page: a run of live rows in ascending id order, shared by every epoch
+/// that pins it, plus a lower bound of its ids.
+#[derive(Debug, Clone)]
+struct Page {
+    /// The id of the page's first row when the page was opened: no larger
+    /// than any of its ids, and larger than every id of the pages before it.
+    /// Deletes and merges keep both properties, so the bound never changes,
+    /// and the page list can be searched without reading the pages.
+    low: RowId,
+    rows: Arc<Vec<Slot>>,
+}
+
+/// The live rows of a relation or epoch: non-empty pages in ascending-id
+/// order plus the total row count.  Cloning it pins the page list.
+#[derive(Debug, Clone, Default)]
+struct PageList {
+    pages: Arc<Vec<Page>>,
+    len: usize,
+}
+
+impl PageList {
+    fn rows(&self) -> Rows<'_> {
+        Rows {
+            pages: &self.pages,
+            len: self.len,
+        }
+    }
+
+    /// `(page, slot)` of a live row: binary search over the pages' lower
+    /// bounds, then within the page.
+    fn locate(pages: &[Page], id: RowId) -> Option<(usize, usize)> {
+        let page = pages.partition_point(|p| p.low <= id).checked_sub(1)?;
+        let slot = pages[page].rows.binary_search_by_key(&id, |s| s.0).ok()?;
+        Some((page, slot))
+    }
+
+    fn row(&self, id: RowId) -> Option<&VersionedRow> {
+        Self::locate(&self.pages, id).map(|(page, slot)| &*self.pages[page].rows[slot].1)
+    }
+}
+
+/// A read-only view of live rows in ascending [`RowId`] order, walking the
+/// pages of a [`VersionedRelation`] or [`RelationEpoch`].
+#[derive(Clone, Copy)]
+pub struct Rows<'a> {
+    pages: &'a [Page],
+    len: usize,
+}
+
+impl<'a> Rows<'a> {
+    /// Iterate the rows in ascending id order.
+    pub fn iter(&self) -> RowIter<'a> {
+        RowIter {
+            pages: self.pages.iter(),
+            page: [].iter(),
+            remaining: self.len,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl fmt::Debug for Rows<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for Rows<'a> {
+    type Item = &'a VersionedRow;
+    type IntoIter = RowIter<'a>;
+    fn into_iter(self) -> RowIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`Rows`] view.
+#[derive(Debug, Clone)]
+pub struct RowIter<'a> {
+    pages: std::slice::Iter<'a, Page>,
+    page: std::slice::Iter<'a, Slot>,
+    remaining: usize,
+}
+
+impl<'a> Iterator for RowIter<'a> {
+    type Item = &'a VersionedRow;
+
+    fn next(&mut self) -> Option<&'a VersionedRow> {
+        loop {
+            if let Some((_, row)) = self.page.next() {
+                self.remaining -= 1;
+                return Some(row);
+            }
+            self.page = self.pages.next()?.rows.iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for RowIter<'_> {}
 
 /// A pinned, immutable view of a [`VersionedRelation`]'s rows at one
 /// generation — the storage half of an engine *epoch*.
 ///
-/// The handle is a cheap `Arc` clone of the relation's row vector: holding
-/// one never blocks subsequent [`VersionedRelation::apply`] calls (the
-/// relation copies on write when its rows are shared), and the pinned rows
-/// never change underneath the holder.  Rows are in insertion order, which
-/// by the row-id contract is ascending [`RowId`] order, so
-/// [`RelationEpoch::row`] resolves an id by binary search — O(log n) with no
-/// side index to pin.
+/// The handle pins the relation's page list: taking one is an `Arc` clone,
+/// holding one never blocks subsequent [`VersionedRelation::apply`] calls
+/// (the relation copies a page on write only while an epoch shares it), and
+/// the pinned rows never change underneath the holder.  Pages that later
+/// batches leave untouched stay shared between the epoch and the relation,
+/// so retaining epochs costs the pages each batch touched, not a copy of
+/// the relation.  [`RelationEpoch::row`] resolves an id by the same two-level
+/// binary search as the relation.
 #[derive(Debug, Clone)]
 pub struct RelationEpoch {
     schema: SchemaRef,
     generation: Generation,
-    rows: Arc<Vec<VersionedRow>>,
+    rows: PageList,
 }
 
 impl RelationEpoch {
@@ -234,55 +377,51 @@ impl RelationEpoch {
     }
 
     /// The pinned live rows in insertion (= ascending id) order.
-    pub fn rows(&self) -> &[VersionedRow] {
-        &self.rows
+    pub fn rows(&self) -> Rows<'_> {
+        self.rows.rows()
     }
 
     /// Number of pinned rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows.len
     }
 
     /// True when the epoch pins no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows.len == 0
     }
 
     /// The pinned row with the given id, if it was live at this epoch
-    /// (binary search over the ascending-id row order).
+    /// (O(log n): binary search over the pages, then within one page).
     pub fn row(&self, id: RowId) -> Option<&VersionedRow> {
-        self.rows
-            .binary_search_by_key(&id, |r| r.id)
-            .ok()
-            .map(|pos| &self.rows[pos])
+        self.rows.row(id)
     }
 }
 
 /// A relation with stable row ids and per-tuple generation stamps.
 ///
-/// Id lookups go through a maintained position index, so [`VersionedRelation::row`]
-/// and delete validation stay O(1) per id regardless of relation size (the
-/// index is rebuilt once per batch after deletes shift positions).
-///
-/// Rows are held behind an [`Arc`] so [`VersionedRelation::epoch`] can hand
-/// out immutable pinned views for free; [`VersionedRelation::apply`] copies
-/// the row vector on write only while an epoch actually pins it.
+/// Live rows are held in ascending-id order in `Arc` pages of at most
+/// [`PAGE_ROWS`] rows (see the page layout in the module docs).
+/// [`VersionedRelation::row`] and delete validation find an id by binary
+/// search over the pages and then within one page, so no side index has to
+/// be maintained; [`VersionedRelation::apply`] copies only the pages a batch
+/// touches, and only while an epoch pins them; and
+/// [`VersionedRelation::epoch`] pins the current page list for free.
 #[derive(Debug, Clone)]
 pub struct VersionedRelation {
     schema: SchemaRef,
     /// Live rows in insertion order (deletes preserve relative order).
-    rows: Arc<Vec<VersionedRow>>,
-    /// Position of every live row id in `rows`.
-    by_id: HashMap<RowId, usize>,
+    rows: PageList,
     generation: Generation,
     next_row: u64,
 }
 
 impl PartialEq for VersionedRelation {
     fn eq(&self, other: &Self) -> bool {
-        // `by_id` is derived from `rows`
+        // the same rows are equal however they are split into pages
         self.schema == other.schema
-            && self.rows == other.rows
+            && self.rows.len == other.rows.len
+            && self.rows().iter().eq(other.rows().iter())
             && self.generation == other.generation
             && self.next_row == other.next_row
     }
@@ -293,8 +432,7 @@ impl VersionedRelation {
     pub fn new(schema: SchemaRef) -> Self {
         VersionedRelation {
             schema,
-            rows: Arc::new(Vec::new()),
-            by_id: HashMap::new(),
+            rows: PageList::default(),
             generation: Generation(0),
             next_row: 0,
         }
@@ -303,21 +441,34 @@ impl VersionedRelation {
     /// Wrap an existing relation: its rows become generation-0 rows with ids
     /// `0..n` in row order.
     pub fn from_relation(relation: &Relation) -> Self {
-        let rows = relation
+        let pages: Vec<Page> = relation
             .rows()
-            .iter()
+            .chunks(PAGE_ROWS)
             .enumerate()
-            .map(|(i, t)| VersionedRow {
-                id: RowId(i as u64),
-                inserted_at: Generation(0),
-                tuple: t.clone(),
+            .map(|(p, chunk)| {
+                let low = p * PAGE_ROWS;
+                let rows = chunk.iter().enumerate().map(|(i, t)| {
+                    let id = RowId((low + i) as u64);
+                    let row = VersionedRow {
+                        id,
+                        inserted_at: Generation(0),
+                        tuple: t.clone(),
+                    };
+                    (id, Arc::new(row))
+                });
+                Page {
+                    low: RowId(low as u64),
+                    rows: Arc::new(rows.collect()),
+                }
             })
-            .collect::<Vec<_>>();
+            .collect();
         VersionedRelation {
             schema: relation.schema().clone(),
-            next_row: rows.len() as u64,
-            by_id: rows.iter().enumerate().map(|(i, r)| (r.id, i)).collect(),
-            rows: Arc::new(rows),
+            next_row: relation.len() as u64,
+            rows: PageList {
+                pages: Arc::new(pages),
+                len: relation.len(),
+            },
             generation: Generation(0),
         }
     }
@@ -334,33 +485,35 @@ impl VersionedRelation {
 
     /// Number of live rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows.len
     }
 
     /// True when no rows are live.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows.len == 0
     }
 
-    /// The live rows in insertion order.
-    pub fn rows(&self) -> &[VersionedRow] {
-        &self.rows
+    /// The live rows in insertion (= ascending id) order.
+    pub fn rows(&self) -> Rows<'_> {
+        self.rows.rows()
     }
 
-    /// The live row with the given id, if any (O(1) via the position index).
+    /// The live row with the given id, if any (O(log n): binary search over
+    /// the pages, then within one page).
     pub fn row(&self, id: RowId) -> Option<&VersionedRow> {
-        self.by_id.get(&id).map(|&pos| &self.rows[pos])
+        self.rows.row(id)
     }
 
     /// Pin the current rows as an immutable [`RelationEpoch`].
     ///
-    /// O(1): the handle shares the row vector; a later [`Self::apply`]
-    /// copies on write instead of mutating what the epoch pinned.
+    /// O(1): the handle shares the page list; a later [`Self::apply`]
+    /// copies the pages it touches instead of mutating what the epoch
+    /// pinned.
     pub fn epoch(&self) -> RelationEpoch {
         RelationEpoch {
             schema: self.schema.clone(),
             generation: self.generation,
-            rows: Arc::clone(&self.rows),
+            rows: self.rows.clone(),
         }
     }
 
@@ -368,7 +521,7 @@ impl VersionedRelation {
     /// order) — the view the batch pipeline repairs.
     pub fn snapshot(&self) -> Relation {
         let mut out = Relation::new(self.schema.clone());
-        for row in self.rows.iter() {
+        for row in self.rows() {
             out.push_row(row.tuple.values().to_vec())
                 .expect("live rows were validated on insert");
         }
@@ -380,55 +533,73 @@ impl VersionedRelation {
     /// The batch's `relation` name is **not** checked here (that is the
     /// [`VersionedCatalog`]'s job); only its operations are.  On any error
     /// the relation is left exactly as it was — batches apply atomically.
+    ///
+    /// O(touched pages): a delete copies (if an epoch shares it) and edits
+    /// the one page holding its row, and the inserts append to the last page
+    /// or to fresh ones, since new ids are the largest.  Beyond that, only
+    /// the list of page pointers is copied while an epoch pins it.
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<AppliedUpdate, UpdateError> {
         // validate everything before mutating
-        let doomed = validate_batch(&self.schema, |id| self.by_id.contains_key(&id), batch)?;
+        validate_batch(&self.schema, |id| self.rows.row(id).is_some(), batch)?;
 
+        let pages = Arc::make_mut(&mut self.rows.pages);
         let mut deleted = Vec::with_capacity(batch.deletes.len());
-        if !batch.deletes.is_empty() {
-            // copy-on-write: clones the vector only while an epoch pins it
-            let rows = Arc::make_mut(&mut self.rows);
-            let mut removed: BTreeMap<RowId, Tuple> = BTreeMap::new();
-            rows.retain(|r| {
-                if doomed.contains(&r.id) {
-                    removed.insert(r.id, r.tuple.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-            for &id in &batch.deletes {
-                let tuple = removed.remove(&id).expect("validated as live above");
-                deleted.push((id, tuple));
-            }
-            // deletes shifted positions: rebuild the index once per batch
-            self.by_id = self
-                .rows
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (r.id, i))
-                .collect();
+        for &id in &batch.deletes {
+            let (page, slot) = PageList::locate(pages, id).expect("validated as live above");
+            let (_, row) = Arc::make_mut(&mut pages[page].rows).remove(slot);
+            // epochs usually still pin the row; then its tuple is copied
+            let tuple = Arc::try_unwrap(row).map_or_else(|row| row.tuple.clone(), |row| row.tuple);
+            deleted.push((id, tuple));
+            Self::merge_underfull(pages, page);
         }
+        self.rows.len -= deleted.len();
 
         self.generation = Generation(self.generation.0 + 1);
         let mut inserted = Vec::with_capacity(batch.inserts.len());
-        let rows = Arc::make_mut(&mut self.rows);
         for row in &batch.inserts {
             let id = RowId(self.next_row);
             self.next_row += 1;
-            self.by_id.insert(id, rows.len());
-            rows.push(VersionedRow {
+            if pages.last().is_none_or(|p| p.rows.len() >= PAGE_ROWS) {
+                pages.push(Page {
+                    low: id,
+                    rows: Arc::new(Vec::with_capacity(PAGE_ROWS)),
+                });
+            }
+            let last = pages.last_mut().expect("pushed above");
+            let row = VersionedRow {
                 id,
                 inserted_at: self.generation,
                 tuple: Tuple::new(row.clone()),
-            });
+            };
+            Arc::make_mut(&mut last.rows).push((id, Arc::new(row)));
             inserted.push(id);
         }
+        self.rows.len += inserted.len();
         Ok(AppliedUpdate {
             generation: self.generation,
             inserted,
             deleted,
         })
+    }
+
+    /// After a delete from `pages[page]`: drop the page if it is empty, or
+    /// merge it into a neighbour with room if it fell under [`MERGE_BELOW`]
+    /// rows.  Merging keeps ascending id order: the previous page's ids are
+    /// all smaller, the next page's all larger.
+    fn merge_underfull(pages: &mut Vec<Page>, page: usize) {
+        let len = pages[page].rows.len();
+        if len == 0 {
+            pages.remove(page);
+        } else if len < MERGE_BELOW {
+            let fits = |p: &Page| p.rows.len() + len <= PAGE_ROWS;
+            if page > 0 && fits(&pages[page - 1]) {
+                let merged = pages.remove(page);
+                Arc::make_mut(&mut pages[page - 1].rows).extend(merged.rows.iter().cloned());
+            } else if pages.get(page + 1).is_some_and(fits) {
+                let merged = pages.remove(page + 1);
+                Arc::make_mut(&mut pages[page].rows).extend(merged.rows.iter().cloned());
+            }
+        }
     }
 }
 
@@ -595,6 +766,79 @@ mod tests {
         assert_eq!(now.row(RowId(3)).unwrap().inserted_at, Generation(1));
         assert_eq!(now.rows().len(), v.rows().len());
         assert!(now.row(RowId(99)).is_none());
+    }
+
+    /// A relation of `pages` full pages plus a partly filled last one.
+    fn paged(pages: usize) -> VersionedRelation {
+        let rows = (0..pages * PAGE_ROWS + 10)
+            .map(|i| vec![Value::text(format!("n{i}")), Value::Int(i as i64)])
+            .collect();
+        let schema = seed().schema().clone();
+        VersionedRelation::from_relation(&Relation::from_rows(schema, rows).unwrap())
+    }
+
+    #[test]
+    fn a_small_batch_copies_and_frees_only_the_pages_it_touches() {
+        let mut v = paged(8);
+        let before = v.epoch();
+        assert!(before.rows.pages.len() >= 8);
+        let mut batch = UpdateBatch::new("r")
+            .delete(RowId(3))
+            .delete(RowId(5 * PAGE_ROWS as u64 + 7));
+        for i in 0..4 {
+            batch = batch.insert(vec![Value::text("new"), Value::Int(i)]);
+        }
+        v.apply(&batch).unwrap();
+        let after = v.epoch();
+        // pages of one epoch that the other does not share: the copies this
+        // batch made, and the pages freed once the older epoch is dropped
+        let unshared = |of: &RelationEpoch, other: &RelationEpoch| {
+            of.rows
+                .pages
+                .iter()
+                .filter(|p| {
+                    !other
+                        .rows
+                        .pages
+                        .iter()
+                        .any(|q| Arc::ptr_eq(&p.rows, &q.rows))
+                })
+                .count()
+        };
+        assert!(unshared(&after, &before) <= 3, "copied pages");
+        assert!(unshared(&before, &after) <= 3, "pages left to free");
+        assert_eq!(before.len(), 8 * PAGE_ROWS + 10);
+        assert_eq!(after.len(), 8 * PAGE_ROWS + 12);
+    }
+
+    #[test]
+    fn lookups_span_pages_and_underfull_pages_merge() {
+        let mut v = paged(3);
+        for id in [
+            0,
+            PAGE_ROWS as u64 - 1,
+            PAGE_ROWS as u64,
+            3 * PAGE_ROWS as u64 + 9,
+        ] {
+            assert_eq!(v.row(RowId(id)).unwrap().id, RowId(id));
+        }
+        assert!(v.row(RowId(3 * PAGE_ROWS as u64 + 10)).is_none());
+        // thin the first page, then empty the second but for one row: the
+        // second falls under a quarter full and merges into the first
+        let mut batch = UpdateBatch::new("r");
+        batch.deletes = (0..100)
+            .chain(PAGE_ROWS as u64..2 * PAGE_ROWS as u64 - 1)
+            .map(RowId)
+            .collect();
+        v.apply(&batch).unwrap();
+        assert_eq!(v.rows.pages.len(), 3);
+        assert_eq!(v.rows.pages[0].rows.len(), PAGE_ROWS - 100 + 1);
+        let last_of_page = RowId(2 * PAGE_ROWS as u64 - 1);
+        assert_eq!(v.row(last_of_page).unwrap().id, last_of_page);
+        let ids: Vec<RowId> = v.rows().iter().map(|r| r.id).collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(ids.len(), v.len());
+        assert_eq!(v.rows().iter().len(), v.len());
     }
 
     #[test]

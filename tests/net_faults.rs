@@ -236,3 +236,44 @@ fn dead_and_stalled_subscribers_never_block_the_writer() {
 
     net.shutdown();
 }
+
+/// A commit's feed batch is pushed when its epoch is published, not when
+/// the handler's socket read next times out: with a read timeout of
+/// several seconds, every batch still reaches the subscriber in a small
+/// fraction of it.
+#[test]
+fn feed_batches_are_pushed_on_publish_not_on_the_read_timeout() {
+    let mut engine = open_engine();
+    let server = Server::new(&engine);
+    let read_timeout = Duration::from_secs(5);
+    let options = ServeOptions {
+        read_timeout,
+        ..ServeOptions::default()
+    };
+    let mut net = NetServer::spawn_with(server, "127.0.0.1:0", options)
+        .expect("bind an ephemeral loopback port");
+    let mut sub = NetClient::connect(net.local_addr())
+        .expect("client connects")
+        .subscribe()
+        .expect("client subscribes");
+    for i in 1..=3 {
+        // let the handler settle into its wait before committing
+        std::thread::sleep(Duration::from_millis(200));
+        let committed = Instant::now();
+        engine
+            .apply(&batch(i))
+            .expect("scripted batches stay valid");
+        let pushed = sub
+            .next_batch(read_timeout * 2)
+            .expect("feed live")
+            .expect("the commit reaches the subscriber");
+        let lag = committed.elapsed();
+        assert_eq!(pushed.to_epoch, engine.current_epoch().id());
+        assert!(
+            lag < read_timeout / 5,
+            "commit {i} reached the subscriber after {lag:?}, read timeout {read_timeout:?}"
+        );
+    }
+    sub.close();
+    net.shutdown();
+}
