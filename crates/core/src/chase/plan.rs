@@ -137,8 +137,9 @@ pub struct MasterDeltaApplied {
 /// [`ChasePlan::adopt_master_delta`].  The appended rows are validated and
 /// interned, and the contributed ground steps (already duplicate-folded
 /// exactly like compilation) sit behind an `Arc`, so `N` plan clones adopting
-/// the same delta — the sharded engine's broadcast — share one immutable step
-/// block instead of re-running the `|Σ2| × |Δ|` grounding loop `N` times.
+/// the same delta share one immutable step block instead of re-running the
+/// `|Σ2| × |Δ|` grounding loop `N` times, and the adopter can test cached
+/// results against exactly the new steps.
 #[derive(Debug, Clone)]
 pub struct GroundedMasterDelta {
     /// The stamp of the plan state the delta was grounded against; adoption
@@ -355,8 +356,8 @@ impl ChasePlan {
     /// update, intern its rows and pre-ground the form-(2) steps they
     /// contribute — **without mutating the plan's logical state**.  The
     /// returned [`GroundedMasterDelta`] can be adopted by this plan *and* by
-    /// any clone still at the same [`PlanStamp`], so a sharded owner grounds
-    /// a master append exactly once and broadcasts the shared step block.
+    /// any clone still at the same [`PlanStamp`], so a master append is
+    /// ground exactly once however many plan clones adopt it.
     ///
     /// `&mut self` only because the appended strings are registered with the
     /// plan's interner; nothing observable by the chase (masters, steps,
@@ -439,8 +440,8 @@ impl ChasePlan {
             for value in &mut row {
                 // registers the delta's canonical allocations with this
                 // clone's interner: a no-op on the grounding plan, and on
-                // sibling shards it adopts the *same* `Arc`s, so pointer
-                // equality keeps firing across shard boundaries
+                // other clones it adopts the *same* `Arc`s, so pointer
+                // equality keeps firing across plan clones
                 self.interner.intern_value(value);
             }
             masters[delta.master]
@@ -840,7 +841,7 @@ mod tests {
         assert_eq!(applied.stamp.version, 1);
     }
 
-    /// The sharded broadcast contract: ground a delta once, adopt it on any
+    /// The ground-once contract: ground a delta once, adopt it on any
     /// number of plan clones — every adopter matches the single-owner
     /// `apply_master_delta` path exactly and shares the delta's step block.
     #[test]

@@ -39,26 +39,6 @@ pub struct StreamConfig {
     /// Fraction of inserts that open a brand-new entity instead of extending
     /// an existing one.
     pub fresh_entity_rate: f64,
-    /// Skew: fraction of operations steered at the **hot set** (the blocks of
-    /// the first [`StreamConfig::hot_entities`] distinct key values).  A hot
-    /// insert clones a hot-set row (same entity key, so the same block — and
-    /// under sharding the same shard); a hot delete removes a live hot-set
-    /// row.  `0.0` (the default) disables the skew entirely and leaves the
-    /// scripted stream byte-identical to the pre-skew generator: no RNG draw
-    /// is spent on the hot/cold decision.
-    pub hot_entity_rate: f64,
-    /// Number of distinct leading key values that form the hot set (ignored
-    /// while [`StreamConfig::hot_entity_rate`] is `0.0`).
-    pub hot_entities: usize,
-    /// Rotate the hot set every this many batches
-    /// ([`StreamConfig::with_hot_drift`]): batch `b` steers its hot
-    /// operations at window `b / period` of the seed's distinct key values
-    /// (wrapping), so the hot blocks *move* mid-stream — the workload an
-    /// online rebalancer has to chase.  `0` (the default) disables the
-    /// drift: the hot set is fixed for the whole stream and the scripted
-    /// ops are byte-identical to the drift-free generator (the rotation
-    /// spends no RNG draws).  Ignored while the hot mix itself is disabled.
-    pub hot_drift_period: usize,
     /// Point reads scripted after each row batch ([`UpdateStream::reads`]):
     /// row ids sampled from the rows live right after the batch applies.
     /// Scripted from a **separate** RNG, so any value — including the
@@ -76,9 +56,6 @@ impl Default for StreamConfig {
             deletes_per_batch: 2,
             master_appends_per_batch: 1,
             fresh_entity_rate: 0.25,
-            hot_entity_rate: 0.0,
-            hot_entities: 0,
-            hot_drift_period: 0,
             reads_per_batch: 0,
             seed: 17,
         }
@@ -86,28 +63,6 @@ impl Default for StreamConfig {
 }
 
 impl StreamConfig {
-    /// Steer `rate` of the operations at the blocks of the first
-    /// `hot_entities` distinct key values (builder style) — the hot-shard
-    /// skew mix of the sharded-repair benchmarks: under key-hash sharding
-    /// the hot blocks pin to a fixed small set of shards, so most batches
-    /// leave the other shards completely untouched.
-    pub fn with_hot_mix(mut self, hot_entities: usize, rate: f64) -> Self {
-        self.hot_entities = hot_entities;
-        self.hot_entity_rate = rate;
-        self
-    }
-
-    /// Rotate the hot set every `period` batches (builder style) — the
-    /// drifting-hot-spot workload of the elastic-shards benchmark: a static
-    /// placement keeps paying for yesterday's hot shard, while
-    /// `ShardedEngine::rebalance_hot` chases the window.  A period of `0`
-    /// disables the drift and leaves the scripted stream byte-identical to
-    /// the fixed-hot-set generator.
-    pub fn with_hot_drift(mut self, period: usize) -> Self {
-        self.hot_drift_period = period;
-        self
-    }
-
     /// Script `reads` point reads after every row batch (builder style) —
     /// the read side of a mixed read/write serving workload.  The reads come
     /// from their own RNG, so the scripted update ops stay byte-identical to
@@ -172,12 +127,6 @@ impl UpdateStream {
 /// Script a stream over an already-flattened relation: per batch, deletes of
 /// random live rows, inserts cloning (or re-keying) random seed rows, and —
 /// when a pool of late-arriving master rows exists — master appends.
-///
-/// With a hot mix configured ([`StreamConfig::with_hot_mix`]) a
-/// `hot_entity_rate` share of the deletes and inserts is steered at the hot
-/// set's blocks instead, producing the hot-shard skew the sharded-repair
-/// bench measures.  The skew path draws from the RNG only when enabled, so a
-/// rate of `0.0` scripts exactly the legacy stream.
 fn script_ops(
     name: &str,
     relation: &Relation,
@@ -195,159 +144,43 @@ fn script_ops(
         .map(|t| t.values().to_vec())
         .collect();
 
-    // the hot set: seed rows carrying the first `hot_entities` distinct key
-    // values (their blocks — and under sharding their shards — are fixed)
-    let skew = config.hot_entity_rate > 0.0 && config.hot_entities > 0;
-    let mut hot_keys: Vec<&Value> = Vec::new();
-    let mut hot_seed: Vec<usize> = Vec::new();
-    if skew {
-        for (idx, row) in seed_rows.iter().enumerate() {
-            let key = &row[key_attr.0];
-            if !hot_keys.iter().any(|k| k.same(key)) && hot_keys.len() < config.hot_entities {
-                hot_keys.push(key);
-            }
-            if hot_keys.iter().any(|k| k.same(key)) {
-                hot_seed.push(idx);
-            }
-        }
-    }
-
-    // the drift bookkeeping: the full distinct-key list the hot window
-    // rotates over, each seed row's key index, and each live row's key
-    // index.  All of it is RNG-free, so enabling the drift perturbs only
-    // *which* pools the existing draws sample from — and a period of 0
-    // touches nothing at all.
-    let drift = skew && config.hot_drift_period > 0;
-    let mut distinct_keys = 0usize;
-    let mut key_of_seed: Vec<usize> = Vec::new();
-    if drift {
-        let mut keys: Vec<&Value> = Vec::new();
-        for row in &seed_rows {
-            let key = &row[key_attr.0];
-            let idx = match keys.iter().position(|k| k.same(key)) {
-                Some(i) => i,
-                None => {
-                    keys.push(key);
-                    keys.len() - 1
-                }
-            };
-            key_of_seed.push(idx);
-        }
-        distinct_keys = keys.len();
-    }
-    // key index of every simulated live row (`usize::MAX` = a stream-fresh
-    // key, never hot); only maintained while drifting
-    let mut key_ix: std::collections::HashMap<RowId, usize> = std::collections::HashMap::new();
-
-    // simulate the versioned relation's id assignment, live ids split by
-    // temperature (everything is "cold" while the skew is disabled)
-    let mut hot_live: Vec<RowId> = Vec::new();
-    let mut cold_live: Vec<RowId> = Vec::new();
-    #[allow(clippy::needless_range_loop)] // `idx` is the row id and the key index at once
-    for idx in 0..relation.len() {
-        if skew && hot_seed.contains(&idx) {
-            hot_live.push(RowId(idx as u64));
-        } else {
-            cold_live.push(RowId(idx as u64));
-        }
-        if drift {
-            key_ix.insert(RowId(idx as u64), key_of_seed[idx]);
-        }
-    }
+    // simulate the versioned relation's id assignment
+    let mut live: Vec<RowId> = (0..relation.len() as u64).map(RowId).collect();
     let mut next_id = relation.len() as u64;
     let mut fresh_entities = 0usize;
-    let mut current_window = 0usize;
 
     let mut ops = Vec::new();
     let mut reads: Vec<Vec<RowId>> = Vec::new();
-    for batch_idx in 0..config.n_batches {
-        // advance the hot window at a drift boundary: recompute the hot key
-        // mask and seed pool, and repartition the live ids by their tracked
-        // keys — window 0 is exactly the drift-free hot set, so the first
-        // period of a drifting stream matches the fixed-set stream
-        if drift {
-            let window = batch_idx / config.hot_drift_period;
-            if window != current_window {
-                current_window = window;
-                let mut hot_mask = vec![false; distinct_keys];
-                for j in 0..config.hot_entities.min(distinct_keys) {
-                    hot_mask[(window * config.hot_entities + j) % distinct_keys] = true;
-                }
-                hot_seed = (0..seed_rows.len())
-                    .filter(|&idx| hot_mask[key_of_seed[idx]])
-                    .collect();
-                let all: Vec<RowId> = hot_live.drain(..).chain(cold_live.drain(..)).collect();
-                for id in all {
-                    let kx = key_ix[&id];
-                    if kx != usize::MAX && hot_mask[kx] {
-                        hot_live.push(id);
-                    } else {
-                        cold_live.push(id);
-                    }
-                }
-            }
-        }
+    for _ in 0..config.n_batches {
         let mut batch = UpdateBatch::new(name);
         // deletes: sample live ids without replacement, keeping the relation
         // from draining (never drop below half the seed size)
         let floor = seed_rows.len() / 2;
         for _ in 0..config.deletes_per_batch {
-            if hot_live.len() + cold_live.len() <= floor.max(1) {
+            if live.len() <= floor.max(1) {
                 break;
             }
-            let from_hot =
-                skew && !hot_live.is_empty() && rng.gen::<f64>() < config.hot_entity_rate;
-            let victim = if from_hot || cold_live.is_empty() {
-                hot_live.swap_remove(rng.gen_range(0..hot_live.len()))
-            } else {
-                cold_live.swap_remove(rng.gen_range(0..cold_live.len()))
-            };
-            batch = batch.delete(victim);
+            batch = batch.delete(live.swap_remove(rng.gen_range(0..live.len())));
         }
-        // inserts: clone a hot-set row (skew) or a random seed row, the
-        // latter sometimes re-keyed into a brand-new entity
+        // inserts: clone a random seed row, sometimes re-keyed into a
+        // brand-new entity
         for _ in 0..config.inserts_per_batch {
-            let is_hot = skew && !hot_seed.is_empty() && rng.gen::<f64>() < config.hot_entity_rate;
-            let (row, kx) = if is_hot {
-                let pick = hot_seed[rng.gen_range(0..hot_seed.len())];
-                let kx = if drift { key_of_seed[pick] } else { 0 };
-                (seed_rows[pick].clone(), kx)
-            } else {
-                let pick = rng.gen_range(0..seed_rows.len());
-                let mut row = seed_rows[pick].clone();
-                let mut kx = if drift { key_of_seed[pick] } else { 0 };
-                if rng.gen::<f64>() < config.fresh_entity_rate {
-                    fresh_entities += 1;
-                    row[key_attr.0] = Value::text(format!("stream_fresh_{fresh_entities}"));
-                    kx = usize::MAX;
-                }
-                (row, kx)
-            };
+            let mut row = seed_rows[rng.gen_range(0..seed_rows.len())].clone();
+            if rng.gen::<f64>() < config.fresh_entity_rate {
+                fresh_entities += 1;
+                row[key_attr.0] = Value::text(format!("stream_fresh_{fresh_entities}"));
+            }
             batch = batch.insert(row);
-            let id = RowId(next_id);
+            live.push(RowId(next_id));
             next_id += 1;
-            if is_hot {
-                hot_live.push(id);
-            } else {
-                cold_live.push(id);
-            }
-            if drift {
-                key_ix.insert(id, kx);
-            }
         }
         if !batch.is_empty() {
             ops.push(StreamOp::Rows(batch));
             // reads against the rows live right after this batch, sampled
             // with replacement from the simulated live-id set
-            let mut sample = Vec::with_capacity(config.reads_per_batch);
-            for _ in 0..config.reads_per_batch {
-                let pick = read_rng.gen_range(0..hot_live.len() + cold_live.len());
-                sample.push(if pick < hot_live.len() {
-                    hot_live[pick]
-                } else {
-                    cold_live[pick - hot_live.len()]
-                });
-            }
+            let sample = (0..config.reads_per_batch)
+                .map(|_| live[read_rng.gen_range(0..live.len())])
+                .collect();
             reads.push(sample);
         }
         if config.master_appends_per_batch > 0 && !master_pool.is_empty() {
@@ -502,83 +335,6 @@ mod tests {
         assert!(versioned.generation().0 as usize >= stream.row_batches());
     }
 
-    /// The hot-shard skew mix: most scripted operations must land on the hot
-    /// set's blocks, the stream stays deterministic, and a zero rate scripts
-    /// exactly the legacy (unskewed) stream.
-    #[test]
-    fn hot_mix_concentrates_operations_on_the_hot_blocks() {
-        let config = StreamConfig {
-            n_batches: 12,
-            inserts_per_batch: 6,
-            deletes_per_batch: 2,
-            master_appends_per_batch: 0,
-            ..StreamConfig::default()
-        }
-        .with_hot_mix(2, 0.9);
-        let stream = med_stream(0.02, 5, &config);
-        assert_eq!(
-            stream.ops,
-            med_stream(0.02, 5, &config).ops,
-            "deterministic"
-        );
-
-        // the hot keys are the first two distinct names of the seed relation
-        let key = stream.relation.schema().expect_attr("name");
-        let mut hot_keys: Vec<Value> = Vec::new();
-        for row in stream.relation.rows() {
-            let v = row.value(key);
-            if !hot_keys.iter().any(|k| k.same(v)) {
-                hot_keys.push(v.clone());
-                if hot_keys.len() == 2 {
-                    break;
-                }
-            }
-        }
-        let (mut hot, mut total) = (0usize, 0usize);
-        for op in &stream.ops {
-            if let StreamOp::Rows(batch) = op {
-                for row in &batch.inserts {
-                    total += 1;
-                    if hot_keys.iter().any(|k| k.same(&row[key.0])) {
-                        hot += 1;
-                    }
-                }
-            }
-        }
-        assert!(total > 0);
-        assert!(
-            hot as f64 >= 0.7 * total as f64,
-            "a 0.9 hot rate must concentrate inserts on the hot blocks \
-             ({hot}/{total} were hot)"
-        );
-
-        // rate 0.0 (or an empty hot set) scripts the legacy stream
-        let plain = med_stream(0.02, 5, &StreamConfig::default());
-        let zero_rate = med_stream(0.02, 5, &StreamConfig::default().with_hot_mix(4, 0.0));
-        let zero_set = med_stream(0.02, 5, &StreamConfig::default().with_hot_mix(0, 0.9));
-        assert_eq!(plain.ops, zero_rate.ops);
-        assert_eq!(plain.ops, zero_set.ops);
-    }
-
-    /// Skewed scripted deletes still honor the row-id contract: they replay
-    /// cleanly on a versioned relation.
-    #[test]
-    fn skewed_deletes_replay_cleanly() {
-        use relacc_store::VersionedRelation;
-        let config = StreamConfig {
-            master_appends_per_batch: 0,
-            ..StreamConfig::default()
-        }
-        .with_hot_mix(1, 0.8);
-        let stream = med_stream(0.02, 13, &config);
-        let mut versioned = VersionedRelation::from_relation(&stream.relation);
-        for op in &stream.ops {
-            if let StreamOp::Rows(batch) = op {
-                versioned.apply(batch).expect("scripted batches stay valid");
-            }
-        }
-    }
-
     /// The scripted read side: one read set per row batch, every read id
     /// live at that point of the replay, and requesting reads leaves the
     /// update ops byte-identical.
@@ -611,94 +367,47 @@ mod tests {
         }
     }
 
-    /// The drifting hot window: period 0 (or no hot mix at all) is
-    /// byte-identical to the fixed-set generator, a real period rotates the
-    /// concentration onto later key windows, and the scripted deletes still
-    /// honor the row-id contract.
+    /// FNV-1a over everything written into it: a digest of `Debug` output
+    /// that does not depend on the toolchain's hasher.
+    struct Fnv(u64);
+
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for byte in s.bytes() {
+                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+
+    fn digest(stream: &UpdateStream) -> u64 {
+        use std::fmt::Write as _;
+        let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+        write!(fnv, "{:?}{:?}", stream.ops, stream.reads).unwrap();
+        fnv.0
+    }
+
+    /// The benchmark's fixed ingest script (1500 batches of 4 inserts, 2
+    /// deletes and 1 master append, script seed 7) is pinned byte for byte:
+    /// a generator change that moves these digests changes what the
+    /// benchmark's med-ingest workload commits.
     #[test]
-    fn hot_drift_rotates_the_window_and_zero_is_byte_identical() {
-        let hot = StreamConfig {
-            n_batches: 12,
-            inserts_per_batch: 6,
+    fn default_streams_are_pinned_by_digest() {
+        let config = StreamConfig {
+            n_batches: 1500,
+            inserts_per_batch: 4,
             deletes_per_batch: 2,
-            master_appends_per_batch: 0,
+            master_appends_per_batch: 1,
+            seed: 7u64.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED,
             ..StreamConfig::default()
-        }
-        .with_hot_mix(2, 0.9);
-
-        // pinned: a zero period — and a drift without a hot mix — scripts
-        // exactly the undrifted stream
-        let fixed = med_stream(0.02, 5, &hot);
-        let zero_period = med_stream(0.02, 5, &hot.clone().with_hot_drift(0));
+        };
+        let med = digest(&med_stream(0.05, 7, &config));
+        let rest = digest(&rest_stream(0.02, 7, &config));
         assert_eq!(
-            fixed.ops, zero_period.ops,
-            "period 0 must be byte-identical"
+            (med, rest),
+            (0x84ce_ff97_136c_6b36, 0x91ac_ff83_ef19_2625),
+            "med {med:#018x}, rest {rest:#018x}"
         );
-        assert_eq!(
-            med_stream(0.02, 5, &StreamConfig::default().with_hot_drift(3)).ops,
-            med_stream(0.02, 5, &StreamConfig::default()).ops,
-            "drift without a hot mix must be byte-identical"
-        );
-
-        let config = hot.clone().with_hot_drift(4);
-        let drifted = med_stream(0.02, 5, &config);
-        assert_eq!(
-            drifted.ops,
-            med_stream(0.02, 5, &config).ops,
-            "deterministic"
-        );
-        assert_ne!(
-            drifted.ops, fixed.ops,
-            "a rotating window must actually move the hot operations"
-        );
-
-        // per window, inserts concentrate on that window's key pair
-        let key = drifted.relation.schema().expect_attr("name");
-        let mut distinct: Vec<Value> = Vec::new();
-        for row in drifted.relation.rows() {
-            let v = row.value(key);
-            if !distinct.iter().any(|k| k.same(v)) {
-                distinct.push(v.clone());
-            }
-        }
-        let row_batches: Vec<&UpdateBatch> = drifted
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                StreamOp::Rows(b) => Some(b),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(row_batches.len(), 12);
-        for window in 0..3usize {
-            let window_keys: Vec<&Value> = (0..2)
-                .map(|j| &distinct[(window * 2 + j) % distinct.len()])
-                .collect();
-            let (mut hot_count, mut total) = (0usize, 0usize);
-            for batch in &row_batches[window * 4..window * 4 + 4] {
-                for row in &batch.inserts {
-                    total += 1;
-                    if window_keys.iter().any(|k| k.same(&row[key.0])) {
-                        hot_count += 1;
-                    }
-                }
-            }
-            assert!(
-                hot_count as f64 >= 0.6 * total as f64,
-                "window {window}: inserts must chase the rotated hot keys \
-                 ({hot_count}/{total} were hot)"
-            );
-        }
-
-        // the simulated id assignment survives the repartitions: every
-        // scripted delete names a live row
-        use relacc_store::VersionedRelation;
-        let mut versioned = VersionedRelation::from_relation(&drifted.relation);
-        for op in &drifted.ops {
-            if let StreamOp::Rows(batch) = op {
-                versioned.apply(batch).expect("drifted batches stay valid");
-            }
-        }
     }
 
     #[test]

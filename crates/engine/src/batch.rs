@@ -357,23 +357,6 @@ impl BatchEngine {
         self.run(&entities)
     }
 
-    /// [`BatchEngine::run`] plus per-entity wall-clock nanoseconds (parallel
-    /// to the report's entities).  The sharded engine chases the entities of
-    /// *all* shards in one pooled run and uses the timings to attribute the
-    /// work back to each shard's
-    /// [`crate::sharded::ShardStats::batch_ns`]; the results are identical to
-    /// [`BatchEngine::run`].
-    pub(crate) fn run_timed(&self, entities: &[EntityInstance]) -> (BatchReport, Vec<u64>) {
-        let threads = effective_threads(self.config.threads, entities.len());
-        let timed = par_map_with(entities, threads, ChaseScratch::new, |scratch, idx, ie| {
-            let started = std::time::Instant::now();
-            let result = self.evaluate_entity(idx, ie, scratch);
-            (result, started.elapsed().as_nanos() as u64)
-        });
-        let (results, ns): (Vec<EntityResult>, Vec<u64>) = timed.into_iter().unzip();
-        (BatchReport::from_entities(results, threads), ns)
-    }
-
     /// Resolve a dirty relation into entities (via `relacc-resolve` blocking +
     /// matching) and repair every entity, producing a one-row-per-entity
     /// repaired relation.

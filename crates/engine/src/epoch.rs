@@ -1,6 +1,6 @@
 //! Epoch-versioned snapshots: the MVCC substrate of the serving layer.
 //!
-//! The incremental engines mutate their per-block caches in place, which is
+//! The incremental engine mutates its per-block cache in place, which is
 //! fine for a single-threaded driver but serves reads only through an
 //! exclusive reference.  This module turns every committed update into an
 //! immutable **epoch** — an `Arc`'d view of the engine's state right after
@@ -22,11 +22,9 @@
 //!   replace whole blocks (see below) this over-approximation is idempotent,
 //!   never wrong.
 //! * **Point reads.**  [`Epoch::repaired_row`] / [`Epoch::entity_result`]
-//!   answer in O(block): route the global row id (identity for a single
-//!   engine, via the pinned router map for a sharded one), binary-search the
-//!   pinned rows, recompute the row's [`BlockKey`] (a pure function of the
-//!   tuple), and look the block up in the pinned cache — no corpus scan, no
-//!   side index.
+//!   answer in O(block): binary-search the pinned rows, recompute the row's
+//!   [`BlockKey`] (a pure function of the tuple), and look the block up in
+//!   the pinned block map — no corpus scan, no side index.
 //! * **Snapshot deltas.**  [`EpochHub::changes_since`] unions the dirty-block
 //!   sets of every epoch after the base and reports each such block's
 //!   **current** state ([`BlockChange`]), `None` when the block is gone.
@@ -35,16 +33,15 @@
 //!   the differential guarantee behind `tests/serve_differential.rs`.
 //!
 //! The serving crate (`relacc-serve`) builds its `Server` / `Subscription`
-//! API purely on the hub handle, so the engines never learn about consumers.
+//! API purely on the hub handle, so the engine never learns about consumers.
 
 use crate::batch::{entity_row, EntityResult, RelationRepair};
 use crate::incremental::{assemble_repair, AssembledBlock, BlockRepair};
-use crate::sharded::RoutingTable;
 use relacc_core::chase::PlanStamp;
 use relacc_model::{EntityInstance, SchemaRef, Tuple, Value};
 use relacc_resolve::{BlockKey, Blocker, MatchDecision, ResolveStats};
 use relacc_store::{Generation, Relation, RelationEpoch, RowId};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -84,23 +81,9 @@ impl std::fmt::Display for EpochError {
 
 impl std::error::Error for EpochError {}
 
-/// One shard's pinned state inside an [`Epoch`]: the rows at the epoch's
-/// generation and the block cache that repaired them.  A single
-/// [`crate::IncrementalEngine`] publishes exactly one shard with identity id
-/// maps; a sharded engine publishes one per shard plus the router map.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardView {
-    /// The shard's pinned rows (shard-local ids).
-    pub(crate) rows: RelationEpoch,
-    /// The shard's pinned per-block cache (shard-local keys and ids).
-    pub(crate) blocks: Arc<HashMap<BlockKey, Arc<BlockRepair>>>,
-    /// Shard-local row id → global row id; `None` = identity.
-    pub(crate) to_global: Option<Arc<HashMap<RowId, RowId>>>,
-}
-
-/// An immutable, pinned view of an engine's repaired state right after one
-/// committed mutation.  All read APIs speak **global** row ids; the sharded
-/// remapping is resolved internally through the pinned router maps.
+/// An immutable, pinned view of the engine's repaired state right after one
+/// committed mutation: the live rows at the epoch's generation and the block
+/// map that repaired them.
 #[derive(Debug)]
 pub struct Epoch {
     pub(crate) id: EpochId,
@@ -109,19 +92,13 @@ pub struct Epoch {
     pub(crate) schema: SchemaRef,
     pub(crate) blocker: Arc<Blocker>,
     pub(crate) threads: usize,
-    pub(crate) shards: Vec<ShardView>,
-    /// Live global row id → (shard, shard-local id); `None` = identity
-    /// (single engine, one shard).
-    pub(crate) route: Option<Arc<HashMap<RowId, (usize, RowId)>>>,
-    /// The versioned block→shard routing table this epoch was published
-    /// under (`None` for a single engine).  Pinned per epoch so point reads
-    /// against an epoch taken *before* a rebalance keep resolving keys to
-    /// the shards that held them then — a reader never observes a torn
-    /// handoff.
-    pub(crate) routing: Option<Arc<RoutingTable>>,
-    /// Blocks this epoch changed relative to its predecessor: global key →
-    /// (shard, shard-local key).  Dropped blocks are listed too.
-    pub(crate) dirty: Arc<BTreeMap<BlockKey, (usize, BlockKey)>>,
+    /// The pinned live rows.
+    pub(crate) rows: RelationEpoch,
+    /// The pinned per-block cache.
+    pub(crate) blocks: Arc<HashMap<BlockKey, Arc<BlockRepair>>>,
+    /// Blocks this epoch changed relative to its predecessor, dropped
+    /// blocks included.
+    pub(crate) dirty: BTreeSet<BlockKey>,
 }
 
 impl Epoch {
@@ -147,42 +124,65 @@ impl Epoch {
 
     /// Number of live rows pinned by this epoch.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.rows.len()).sum()
+        self.rows.len()
     }
 
     /// True when the epoch pins no rows.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.rows.is_empty())
+        self.rows.is_empty()
     }
 
-    /// Global keys of the blocks this epoch changed relative to its
-    /// predecessor (dropped blocks included).
+    /// Keys of the blocks this epoch changed relative to its predecessor
+    /// (dropped blocks included), ascending.
     pub fn dirty_keys(&self) -> impl Iterator<Item = &BlockKey> {
-        self.dirty.keys()
+        self.dirty.iter()
     }
 
-    /// The pinned live rows as global ids, ascending.
-    pub fn live_rows(&self) -> Vec<RowId> {
-        let mut out: Vec<RowId> = self
-            .shards
+    /// Keys of the blocks whose state may differ between `earlier` and this
+    /// epoch, ascending: blocks pinned by only one of the two, and blocks
+    /// the two pin as different allocations.  A block both pin as the same
+    /// allocation is unchanged — the engine copies a pinned block before it
+    /// writes, and row ids are never reused — so [`Epoch::block_view`] of
+    /// every other key is equal at both epochs.  Costs one pointer compare
+    /// per block and memory per changed block only.
+    pub fn blocks_changed_since(&self, earlier: &Epoch) -> BTreeSet<BlockKey> {
+        let mut keys: BTreeSet<BlockKey> = self
+            .blocks
             .iter()
-            .flat_map(|s| s.rows.rows().iter().map(|r| globalize(s, r.id)))
+            .filter(|(key, block)| {
+                earlier
+                    .blocks
+                    .get(*key)
+                    .is_none_or(|old| !Arc::ptr_eq(old, block))
+            })
+            .map(|(key, _)| key.clone())
             .collect();
-        out.sort_unstable();
-        out
+        keys.extend(
+            earlier
+                .blocks
+                .keys()
+                .filter(|key| !self.blocks.contains_key(*key))
+                .cloned(),
+        );
+        keys
+    }
+
+    /// The pinned live rows, ascending.
+    pub fn live_rows(&self) -> Vec<RowId> {
+        self.rows.rows().iter().map(|r| r.id).collect()
     }
 
     /// True when the row was live at this epoch.
     pub fn contains(&self, row: RowId) -> bool {
-        self.locate_row(row).is_some()
+        self.rows.row(row).is_some()
     }
 
-    /// The entity owning `row` at this epoch, in O(block): pinned routing +
-    /// binary row search + a pure [`BlockKey`] recomputation, then a scan of
-    /// that single block.  `None` when the row was not live.
+    /// The entity owning `row` at this epoch, in O(block): binary row
+    /// search + a pure [`BlockKey`] recomputation, then a scan of that
+    /// single block.  `None` when the row was not live.
     pub fn entity_result(&self, row: RowId) -> Option<EntityView> {
-        let (shard, local, block, entity) = self.locate_entity(row)?;
-        Some(self.entity_view(&self.shards[shard], block, entity, local))
+        let (block, entity) = self.locate_entity(row)?;
+        Some(self.entity_view(block, entity))
     }
 
     /// The repaired row `row`'s entity materializes to at this epoch, under
@@ -190,46 +190,25 @@ impl Epoch {
     /// row was not live, or its entity materializes no row (a
     /// not-Church-Rosser entity without a source record).
     pub fn repaired_row(&self, row: RowId) -> Option<Vec<Value>> {
-        let (shard, _, block, entity) = self.locate_entity(row)?;
-        let view = &self.shards[shard];
+        let (block, entity) = self.locate_entity(row)?;
         let be = &block.entities[entity];
-        let mut instance = EntityInstance::new(self.schema.clone());
-        for &member in &be.members {
-            let lid = block.rows[member];
-            let tuple = view
-                .rows
-                .row(lid)
-                .expect("block rows are pinned")
-                .tuple
-                .clone();
-            instance
-                .push_tuple(tuple)
-                .expect("pinned rows conform to the schema");
-        }
-        entity_row(&be.result, &instance)
+        entity_row(&be.result, &self.instance(block, &be.members))
     }
 
-    /// The pinned state of the block with the given **global** key, if it
-    /// existed at this epoch.
+    /// The pinned state of the block with the given key, if it existed at
+    /// this epoch.
     pub fn block_view(&self, key: &BlockKey) -> Option<BlockView> {
-        let (shard, local) = self.locate_key(key)?;
-        self.block_view_at(shard, &local, key.clone())
+        let block = self.blocks.get(key)?;
+        Some(self.view_of(key, block))
     }
 
-    /// All pinned blocks in global currency — the composition base of
+    /// All pinned blocks — the composition base of
     /// [`SnapshotDelta::apply_to`].
     pub fn block_views(&self) -> BTreeMap<BlockKey, BlockView> {
-        let mut out = BTreeMap::new();
-        for (shard_idx, view) in self.shards.iter().enumerate() {
-            for local_key in view.blocks.keys() {
-                let key = globalize_key(view, local_key);
-                let block = self
-                    .block_view_at(shard_idx, local_key, key.clone())
-                    .expect("iterated key is present");
-                out.insert(key, block);
-            }
-        }
-        out
+        self.blocks
+            .iter()
+            .map(|(key, block)| (key.clone(), self.view_of(key, block)))
+            .collect()
     }
 
     /// Assemble the epoch's full [`RelationRepair`] — bit-identical to the
@@ -238,139 +217,71 @@ impl Epoch {
         assemble_views(self.schema.clone(), &self.block_views(), self.threads)
     }
 
-    /// Resolve a global row id to (shard, local id) through the pinned
-    /// router, and fetch the pinned row.
-    fn locate_row(&self, row: RowId) -> Option<(usize, RowId, &Tuple)> {
-        let (shard, local) = match &self.route {
-            Some(route) => *route.get(&row)?,
-            None => (0, row),
-        };
-        let tuple = &self.shards.get(shard)?.rows.row(local)?.tuple;
-        Some((shard, local, tuple))
-    }
-
-    /// Locate the block and entity owning a global row id.
-    fn locate_entity(&self, row: RowId) -> Option<(usize, RowId, &BlockRepair, usize)> {
-        let (shard, local, tuple) = self.locate_row(row)?;
-        let key = BlockKey::of_row(&self.blocker, local, tuple);
-        let block = self.shards[shard].blocks.get(&key)?;
-        let pos = block.rows.iter().position(|&r| r == local)?;
+    /// Locate the block and entity owning a row id.
+    fn locate_entity(&self, row: RowId) -> Option<(&BlockRepair, usize)> {
+        let tuple = &self.rows.row(row)?.tuple;
+        let key = BlockKey::of_row(&self.blocker, row, tuple);
+        let block = self.blocks.get(&key)?;
+        let pos = block.rows.iter().position(|&r| r == row)?;
         let entity = block
             .entities
             .iter()
             .position(|be| be.members.contains(&pos))?;
-        Some((shard, local, block, entity))
+        Some((block, entity))
     }
 
-    /// Resolve a **global** block key to its (shard, local key) — through
-    /// the pinned routing table for keyed blocks (hash fallback for keys the
-    /// table does not override), through the pinned row router for
-    /// singletons.
-    fn locate_key(&self, key: &BlockKey) -> Option<(usize, BlockKey)> {
-        if self.route.is_none() {
-            return Some((0, key.clone()));
-        }
-        match key {
-            BlockKey::Key(_) => {
-                let shard = match &self.routing {
-                    Some(table) => table.shard_of(key),
-                    None => crate::sharded::shard_of(key, self.shards.len()),
-                };
-                Some((shard, key.clone()))
-            }
-            BlockKey::Singleton(gid) => {
-                let (shard, lid) = *self.route.as_ref()?.get(gid)?;
-                Some((shard, BlockKey::Singleton(lid)))
-            }
-        }
-    }
-
-    /// The globalized view of one shard-local block, `key` being its global
-    /// key.
-    pub(crate) fn block_view_at(
-        &self,
-        shard: usize,
-        local_key: &BlockKey,
-        key: BlockKey,
-    ) -> Option<BlockView> {
-        let view = self.shards.get(shard)?;
-        let block = view.blocks.get(local_key)?;
+    /// The view of one pinned block.
+    fn view_of(&self, key: &BlockKey, block: &BlockRepair) -> BlockView {
         let rows: Vec<(RowId, Tuple)> = block
             .rows
             .iter()
-            .map(|&lid| {
-                let row = view.rows.row(lid).expect("block rows are pinned");
-                (globalize(view, lid), row.tuple.clone())
+            .map(|&id| {
+                let row = self.rows.row(id).expect("block rows are pinned");
+                (id, row.tuple.clone())
             })
             .collect();
-        let entities = block
-            .entities
-            .iter()
-            .enumerate()
-            .map(|(idx, _)| self.entity_view(view, block, idx, RowId(0)))
+        let entities = (0..block.entities.len())
+            .map(|idx| self.entity_view(block, idx))
             .collect();
-        Some(BlockView {
-            key,
+        BlockView {
+            key: key.clone(),
             rows,
             decisions: block.decisions.clone(),
             entities,
             stats: block.stats,
-        })
+        }
     }
 
-    /// Build the [`EntityView`] of one block entity (the `_local` id is only
-    /// a lookup hint and not required to be a member).
-    fn entity_view(
-        &self,
-        view: &ShardView,
-        block: &BlockRepair,
-        entity: usize,
-        _local: RowId,
-    ) -> EntityView {
+    /// Build the [`EntityView`] of one block entity.
+    fn entity_view(&self, block: &BlockRepair, entity: usize) -> EntityView {
         let be = &block.entities[entity];
-        let mut records = Vec::with_capacity(be.members.len());
-        let mut instance = EntityInstance::new(self.schema.clone());
-        for &member in &be.members {
-            let lid = block.rows[member];
-            records.push(globalize(view, lid));
-            let tuple = view
-                .rows
-                .row(lid)
-                .expect("block rows are pinned")
-                .tuple
-                .clone();
-            instance
-                .push_tuple(tuple)
-                .expect("pinned rows conform to the schema");
-        }
         EntityView {
-            repaired: entity_row(&be.result, &instance),
-            records,
+            records: be.members.iter().map(|&m| block.rows[m]).collect(),
+            repaired: entity_row(&be.result, &self.instance(block, &be.members)),
             result: be.result.clone(),
         }
     }
-}
 
-/// Map a shard-local row id to its global id through a shard view.
-fn globalize(view: &ShardView, local: RowId) -> RowId {
-    match &view.to_global {
-        Some(map) => *map.get(&local).expect("pinned rows are routed"),
-        None => local,
+    /// The entity instance over the given block-local member positions.
+    fn instance(&self, block: &BlockRepair, members: &[usize]) -> EntityInstance {
+        let mut instance = EntityInstance::new(self.schema.clone());
+        for &member in members {
+            let row = self
+                .rows
+                .row(block.rows[member])
+                .expect("block rows are pinned");
+            instance
+                .push_tuple(row.tuple.clone())
+                .expect("pinned rows conform to the schema");
+        }
+        instance
     }
 }
 
-/// Map a shard-local block key to its global key.
-fn globalize_key(view: &ShardView, local_key: &BlockKey) -> BlockKey {
-    match local_key {
-        BlockKey::Key(_) => local_key.clone(),
-        BlockKey::Singleton(lid) => BlockKey::Singleton(globalize(view, *lid)),
-    }
-}
-
-/// One repaired entity in **global** currency.
+/// One repaired entity of a pinned epoch.
 #[derive(Debug, Clone)]
 pub struct EntityView {
-    /// The entity's member rows as global ids, ascending.
+    /// The entity's member rows, ascending.
     pub records: Vec<RowId>,
     /// The repaired row the entity materializes to (the shared
     /// materialization policy), `None` for a not-Church-Rosser entity with
@@ -382,13 +293,13 @@ pub struct EntityView {
     pub result: EntityResult,
 }
 
-/// The pinned state of one block in **global** currency — the unit of
-/// snapshot deltas and of composition.
+/// The pinned state of one block — the unit of snapshot deltas and of
+/// composition.
 #[derive(Debug, Clone)]
 pub struct BlockView {
-    /// The block's global key.
+    /// The block's key.
     pub key: BlockKey,
-    /// The block's live rows (global id + values), ascending by id.
+    /// The block's live rows (id + values), ascending by id.
     pub rows: Vec<(RowId, Tuple)>,
     /// Pairwise match decisions with indices **local to `rows`**.
     pub decisions: Vec<MatchDecision>,
@@ -404,7 +315,7 @@ pub struct BlockView {
 /// reflects is a no-op.
 #[derive(Debug, Clone)]
 pub struct BlockChange {
-    /// The changed block's global key.
+    /// The changed block's key.
     pub key: BlockKey,
     /// Its state at the delta's target epoch; `None` = dropped.
     pub after: Option<BlockView>,
@@ -451,12 +362,12 @@ impl SnapshotDelta {
     }
 }
 
-/// Assemble a full [`RelationRepair`] from a map of global block views —
-/// the composition counterpart of the engines' own snapshot assembly, and
-/// bit-identical to it: every live row belongs to exactly one block, global
-/// row order is ascending id, and the shared `assemble_repair` (the same
-/// routine behind the engines' `snapshot()`) puts blocks and entities into
-/// the canonical order.
+/// Assemble a full [`RelationRepair`] from a map of block views — the
+/// composition counterpart of the engine's own snapshot assembly, and
+/// bit-identical to it: every live row belongs to exactly one block, row
+/// order is ascending id, and the shared `assemble_repair` (the same routine
+/// behind the engine's `snapshot()`) puts blocks and entities into the
+/// canonical order.
 pub fn assemble_views(
     schema: SchemaRef,
     views: &BTreeMap<BlockKey, BlockView>,
@@ -506,7 +417,7 @@ pub fn assemble_views(
 
 /// The shared publish/pin rendezvous between one engine (the single writer)
 /// and any number of readers.  Cloning the handle is cheap and shares the
-/// hub; the engines hand clones out via their `epochs()` accessors.
+/// hub; the engine hands clones out via its `epochs()` accessor.
 ///
 /// The hub retains a bounded window of recent epochs (default
 /// [`EpochHub::DEFAULT_RETENTION`]) so generation-addressed reads and
@@ -555,13 +466,12 @@ impl EpochHub {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Publish a new epoch (engine-internal: engines are the only writers).
-    pub(crate) fn publish(&self, mut epoch: Epoch) -> Arc<Epoch> {
+    /// Publish a new epoch (engine-internal: the engine is the only writer).
+    pub(crate) fn publish(&self, mut epoch: Epoch) {
         let mut state = self.lock();
         epoch.id = EpochId(state.next_id);
         state.next_id += 1;
-        let epoch = Arc::new(epoch);
-        state.epochs.push_back(Arc::clone(&epoch));
+        state.epochs.push_back(Arc::new(epoch));
         let retain = state.retain.max(1);
         let mut evicted = Vec::new();
         while state.epochs.len() > retain {
@@ -572,7 +482,6 @@ impl EpochHub {
         // an evicted epoch that nobody else pins is freed here, outside the
         // lock, so readers never wait on the drop
         drop(evicted);
-        epoch
     }
 
     /// How many epochs the hub keeps reachable for generation-addressed
@@ -587,7 +496,7 @@ impl EpochHub {
             self.lock()
                 .epochs
                 .back()
-                .expect("engines publish their seed epoch at open"),
+                .expect("the engine publishes its seed epoch at open"),
         )
     }
 
@@ -609,23 +518,14 @@ impl EpochHub {
             let current = Arc::clone(state.epochs.back().expect("find succeeded"));
             (Arc::clone(&state.epochs[idx]), later, current)
         };
-        // union the dirty sets of every epoch after the base, then resolve
-        // each key's *current* location through the current epoch's pinned
-        // routing — a rebalance between the base and now may have moved a
-        // keyed block to another shard (with fresh local ids), so the
-        // location recorded at dirty time can be stale; `block_view`
-        // re-locates and still answers `None` for dropped blocks
-        let mut dirty: BTreeMap<BlockKey, ()> = BTreeMap::new();
-        for epoch in &later {
-            for key in epoch.dirty.keys() {
-                dirty.insert(key.clone(), ());
-            }
-        }
+        // union the dirty sets of every epoch after the base and read each
+        // block's current state (`None` for dropped blocks)
+        let dirty: BTreeSet<&BlockKey> = later.iter().flat_map(|e| e.dirty.iter()).collect();
         let changes = dirty
-            .into_keys()
+            .into_iter()
             .map(|key| BlockChange {
-                after: current.block_view(&key),
-                key,
+                after: current.block_view(key),
+                key: key.clone(),
             })
             .collect();
         Ok(SnapshotDelta {
@@ -642,7 +542,7 @@ impl EpochHub {
         let deadline = Instant::now() + timeout;
         let mut state = self.lock();
         loop {
-            let current = state.epochs.back().expect("engines publish at open");
+            let current = state.epochs.back().expect("the engine publishes at open");
             if current.id > seen {
                 return Some(Arc::clone(current));
             }
@@ -677,29 +577,6 @@ impl EpochHub {
                 .filter(|e| e.id > seen)
                 .cloned()
                 .collect(),
-        )
-    }
-
-    /// Did any epoch after `seen` dirty a block?  `Some(false)` proves the
-    /// assembled snapshot is unchanged since `seen`; `None` means the window
-    /// no longer reaches back that far (the caller must assume changes).
-    pub(crate) fn any_dirty_since(&self, seen: EpochId) -> Option<bool> {
-        let state = self.lock();
-        let front = state.epochs.front()?;
-        let back = state.epochs.back()?;
-        if back.id == seen {
-            return Some(false);
-        }
-        if seen < front.id && front.id.0 != seen.0 + 1 {
-            // epochs between `seen` and the window were evicted: unknown
-            return None;
-        }
-        Some(
-            state
-                .epochs
-                .iter()
-                .filter(|e| e.id > seen)
-                .any(|e| !e.dirty.is_empty()),
         )
     }
 

@@ -40,11 +40,10 @@
 
 use crate::batch::EntityOutcome;
 use crate::batch::{materialize_rows, BatchEngine, BatchReport, EntityResult, RelationRepair};
-use crate::epoch::{Epoch, EpochHub, EpochId, ShardView, SnapshotDelta};
+use crate::epoch::{Epoch, EpochHub, EpochId, SnapshotDelta};
 use crate::pool::{effective_threads, par_map_with};
 use relacc_core::chase::{
-    GroundStep, GroundedMasterDelta, MasterUpdate, PendingPred, PlanDeltaError, PlanStamp,
-    StepAction,
+    GroundStep, MasterUpdate, PendingPred, PlanDeltaError, PlanStamp, StepAction,
 };
 use relacc_model::{EntityInstance, SchemaRef, TargetTuple, Tuple, Value};
 use relacc_resolve::{
@@ -53,14 +52,13 @@ use relacc_resolve::{
     ResolvedEntities,
 };
 use relacc_store::{Generation, Relation, RowId, UpdateBatch, UpdateError, VersionedRelation};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The cached repair of one block: its rows (in snapshot order at repair
 /// time), the local resolution output and the per-entity results, all under
 /// block-local indices; [`IncrementalEngine::snapshot`] rebases them to
-/// global indices.
+/// relation row positions.
 ///
 /// Cached per block behind an `Arc`: published epochs pin the same
 /// allocation, and the engine copies a block on write only while an epoch
@@ -92,56 +90,42 @@ pub(crate) struct BlockEntity {
     pub(crate) result: EntityResult,
 }
 
-/// One keyed block in transit between shards (see
-/// [`IncrementalEngine::export_block`] /
-/// [`IncrementalEngine::import_block`]): its rows in export order plus the
-/// cached repair, whose position-indexed contents survive the move verbatim.
-#[derive(Debug)]
-pub(crate) struct ExportedBlock {
-    /// The block's rows in snapshot order (ascending source-local id).
-    pub(crate) rows: Vec<Tuple>,
-    /// The cached repair; `rows` ids are rewritten on import.
-    pub(crate) repair: Arc<BlockRepair>,
-}
-
 /// One dirty block's re-repair input, self-contained (rows cloned out of the
 /// relation, previous repair pinned by `Arc`): the unit of the block-level
-/// work list.  Because a job borrows nothing from its engine, jobs of *many*
-/// shards can be flattened into one slice and dispatched over the shared
-/// worker pool — `par_map_with`'s dynamic `fetch_add` loop then steals at
-/// block granularity, so one hot shard's backlog spreads across all workers.
+/// work list.  Jobs borrow nothing from the engine, so the pool's dynamic
+/// loop hands whole blocks to whichever worker is free.
 #[derive(Debug)]
-pub(crate) struct BlockJob {
+struct BlockJob {
     /// The block's key.
-    pub(crate) key: BlockKey,
+    key: BlockKey,
     /// The block's live rows at prepare time, in snapshot order.
-    pub(crate) row_ids: Vec<RowId>,
+    row_ids: Vec<RowId>,
     /// The tuples of `row_ids` (parallel).
-    pub(crate) rows: Vec<Tuple>,
+    rows: Vec<Tuple>,
     /// The block's previous repair, when cached (fingerprint reuse on the
     /// re-resolve path; the member partition on the cached-resolution path).
-    pub(crate) cached: Option<Arc<BlockRepair>>,
+    cached: Option<Arc<BlockRepair>>,
     /// Re-resolve membership (row updates) or reuse the cached resolution
     /// and re-run only the chase (master deltas)?
-    pub(crate) reresolve: bool,
+    reresolve: bool,
 }
 
 /// Stage-1 output of a re-repair (see
 /// [`IncrementalEngine::prepare_rerepair`]): the dirty keys, their
 /// self-contained jobs, and the membership-derived outcome counters.
 #[derive(Debug)]
-pub(crate) struct PreparedRepair {
+struct PreparedRepair {
     /// The dirty block keys (including ones whose block was dropped).
-    pub(crate) dirty: BTreeSet<BlockKey>,
+    dirty: BTreeSet<BlockKey>,
     /// One job per dirty block that still has live rows, in ascending key
     /// order.
-    pub(crate) jobs: Vec<BlockJob>,
+    jobs: Vec<BlockJob>,
     /// Blocks that lost their last live row and were dropped from the cache.
-    pub(crate) dropped_blocks: usize,
+    dropped_blocks: usize,
     /// Live blocks whose cached repair is reused untouched.
-    pub(crate) clean_blocks: usize,
+    clean_blocks: usize,
     /// Entities of the clean blocks.
-    pub(crate) entities_reused: usize,
+    entities_reused: usize,
 }
 
 /// Stage-2 output for one [`BlockJob`]: the block's (fresh or reused)
@@ -149,21 +133,18 @@ pub(crate) struct PreparedRepair {
 /// into one flat chase batch before stage 3; `entity_count` survives the
 /// drain so stage 4 can split the chase results back per job.
 #[derive(Debug)]
-pub(crate) struct ResolvedJob {
+struct ResolvedJob {
     /// Fresh local resolution + fingerprints (`None` on the
     /// cached-resolution path, which updates results copy-on-write instead).
-    pub(crate) fresh: Option<(ResolvedEntities, Vec<RecordFingerprint>)>,
+    fresh: Option<(ResolvedEntities, Vec<RecordFingerprint>)>,
     /// The block's entity instances, in block-entity order.
-    pub(crate) entities: Vec<EntityInstance>,
+    entities: Vec<EntityInstance>,
     /// `entities.len()` at resolution time.
-    pub(crate) entity_count: usize,
+    entity_count: usize,
     /// Rows fingerprinted by this job.
-    pub(crate) rows_fingerprinted: usize,
+    rows_fingerprinted: usize,
     /// Rows whose cached fingerprint was reused by this job.
-    pub(crate) fingerprints_reused: usize,
-    /// Wall-clock nanoseconds this job's resolution took (per-shard
-    /// [`crate::sharded::ShardStats::batch_ns`] attribution).
-    pub(crate) resolve_ns: u64,
+    fingerprints_reused: usize,
 }
 
 /// Stage 2 of a re-repair: resolve every job's block **in parallel at block
@@ -171,8 +152,8 @@ pub(crate) struct ResolvedJob {
 /// function of the job (rows + cached fingerprints + config), so the output
 /// is identical at every thread count and the pool's dynamic loop can hand
 /// blocks to whichever worker is free.
-pub(crate) fn resolve_block_jobs(
-    jobs: &[&BlockJob],
+fn resolve_block_jobs(
+    jobs: &[BlockJob],
     resolve: &ResolveConfig,
     schema: &SchemaRef,
     threads: usize,
@@ -198,7 +179,6 @@ fn resolve_one_job(
     similarity_attrs: &[relacc_model::AttrId],
     schema: &SchemaRef,
 ) -> ResolvedJob {
-    let started = Instant::now();
     if job.reresolve {
         let mut local = Relation::new(schema.clone());
         for tuple in &job.rows {
@@ -247,7 +227,6 @@ fn resolve_one_job(
             entity_count,
             rows_fingerprinted,
             fingerprints_reused,
-            resolve_ns: started.elapsed().as_nanos() as u64,
         }
     } else {
         let repair = job
@@ -271,7 +250,6 @@ fn resolve_one_job(
             entity_count,
             rows_fingerprinted: 0,
             fingerprints_reused: 0,
-            resolve_ns: started.elapsed().as_nanos() as u64,
         }
     }
 }
@@ -301,13 +279,6 @@ pub struct IncrementalStats {
     pub batches_applied: usize,
     /// Master deltas applied in place.
     pub master_deltas_applied: usize,
-    /// Master deltas **ground** by this engine (the `|Σ2| × |Δ|` grounding
-    /// loop).  Adopting a delta ground elsewhere
-    /// ([`relacc_core::chase::ChasePlan::adopt_master_delta`]) bumps
-    /// [`IncrementalStats::master_deltas_applied`] but not this — under the
-    /// sharded engine exactly one shard grounds each append, so the summed
-    /// count stays 1 per append regardless of shard count.
-    pub master_groundings: usize,
     /// Plan recompiles forced by non-monotone master updates.
     pub recompiles: usize,
     /// Total entities re-repaired across all updates (including the initial
@@ -434,19 +405,6 @@ impl IncrementalEngine {
     /// Apply a typed batch of row deletes + inserts and re-repair exactly the
     /// dirty blocks.  The batch must address this engine's relation by name.
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<UpdateOutcome, IncrementalError> {
-        let dirty = self.begin_batch(batch)?;
-        Ok(self.rerepair(dirty, true))
-    }
-
-    /// The mutation half of [`IncrementalEngine::apply`]: apply the batch to
-    /// the versioned relation and the blocking index and return the dirty
-    /// block keys, without re-repairing anything yet.  The sharded engine
-    /// runs this per shard, then pools the dirty blocks of *all* shards into
-    /// one block-granular work list.
-    pub(crate) fn begin_batch(
-        &mut self,
-        batch: &UpdateBatch,
-    ) -> Result<BTreeSet<BlockKey>, IncrementalError> {
         if batch.relation != self.name {
             return Err(IncrementalError::Update(UpdateError::NoSuchRelation(
                 batch.relation.clone(),
@@ -469,7 +427,7 @@ impl IncrementalEngine {
             inserted.iter().map(|(id, tuple)| (*id, tuple)),
         );
         self.stats.batches_applied += 1;
-        Ok(dirty.blocks)
+        Ok(self.rerepair(dirty.blocks, true))
     }
 
     /// Append rows to master relation `master`, evolving the compiled plan in
@@ -480,46 +438,9 @@ impl IncrementalEngine {
         master: usize,
         rows: Vec<Vec<Value>>,
     ) -> Result<UpdateOutcome, IncrementalError> {
-        let delta = self.ground_master_delta(&MasterUpdate::append(master, rows))?;
-        self.adopt_master_delta(&delta)
-    }
-
-    /// Ground a master delta against this engine's plan — once.  The result
-    /// can be adopted here *and* by every sibling shard still in stamp
-    /// lockstep ([`IncrementalEngine::adopt_master_delta`]); only the
-    /// grounding engine pays the `|Σ2| × |Δ|` loop (counted by
-    /// [`IncrementalStats::master_groundings`]).
-    pub(crate) fn ground_master_delta(
-        &mut self,
-        update: &MasterUpdate,
-    ) -> Result<GroundedMasterDelta, IncrementalError> {
-        let delta = self.engine.plan_mut().ground_master_delta(update)?;
-        self.stats.master_groundings += 1;
-        Ok(delta)
-    }
-
-    /// Adopt a delta ground by [`IncrementalEngine::ground_master_delta`]
-    /// (possibly on a sibling shard): stamp bump + shared step block append
-    /// on the plan, then the exact invalidation filter and a cached-resolution
-    /// re-repair of the affected blocks.
-    pub(crate) fn adopt_master_delta(
-        &mut self,
-        delta: &GroundedMasterDelta,
-    ) -> Result<UpdateOutcome, IncrementalError> {
-        let dirty = self.adopt_master_dirty(delta)?;
-        // block membership is untouched by a master delta: reuse the cached
-        // resolution (members + match decisions) and re-run only the chase
-        Ok(self.rerepair(dirty, false))
-    }
-
-    /// The adoption + invalidation half of
-    /// [`IncrementalEngine::adopt_master_delta`], without the re-repair: the
-    /// sharded engine pools the returned dirty blocks across shards.
-    pub(crate) fn adopt_master_dirty(
-        &mut self,
-        delta: &GroundedMasterDelta,
-    ) -> Result<BTreeSet<BlockKey>, IncrementalError> {
-        self.engine.plan_mut().adopt_master_delta(delta)?;
+        let plan = self.engine.plan_mut();
+        let delta = plan.ground_master_delta(&MasterUpdate::append(master, rows))?;
+        plan.adopt_master_delta(&delta)?;
         self.stats.master_deltas_applied += 1;
         let new_steps: &[GroundStep] = delta.steps().as_slice();
         let mut dirty: BTreeSet<BlockKey> = BTreeSet::new();
@@ -536,7 +457,9 @@ impl IncrementalEngine {
                 dirty.insert(key.clone());
             }
         }
-        Ok(dirty)
+        // block membership is untouched by a master delta: reuse the cached
+        // resolution (members + match decisions) and re-run only the chase
+        Ok(self.rerepair(dirty, false))
     }
 
     /// Replace the plan's master data wholesale (the non-monotone path:
@@ -573,19 +496,17 @@ impl IncrementalEngine {
     /// (the master-delta paths: rows are untouched, and match decisions
     /// depend only on row contents, never on the plan).
     ///
-    /// Internally this is the prepare → resolve → chase → commit staging the
-    /// sharded engine drives across shards; run standalone it behaves exactly
-    /// like the historical monolithic re-repair.
+    /// The stages: prepare self-contained jobs, resolve them block-parallel,
+    /// chase every dirty entity in one pooled run, then commit the results
+    /// and publish an epoch.
     fn rerepair(&mut self, dirty: BTreeSet<BlockKey>, reresolve: bool) -> UpdateOutcome {
         let prepared = self.prepare_rerepair(dirty, reresolve);
-        let job_refs: Vec<&BlockJob> = prepared.jobs.iter().collect();
         let mut resolved = resolve_block_jobs(
-            &job_refs,
+            &prepared.jobs,
             &self.resolve,
             self.relation.schema(),
             self.engine.config().threads,
         );
-        drop(job_refs);
         let mut batch_entities: Vec<EntityInstance> = Vec::new();
         for job in &mut resolved {
             batch_entities.append(&mut job.entities);
@@ -599,14 +520,8 @@ impl IncrementalEngine {
     /// blocks that lost their last live row, and pre-compute the
     /// membership-derived outcome counters.  Cheap and sequential — the
     /// index's member lists name each dirty block's rows, so the cost is the
-    /// dirty rows, not the relation; the expensive stages operate on the
-    /// returned jobs without borrowing the engine, which is what lets the
-    /// sharded engine flatten jobs of many shards into one stolen work list.
-    pub(crate) fn prepare_rerepair(
-        &mut self,
-        dirty: BTreeSet<BlockKey>,
-        reresolve: bool,
-    ) -> PreparedRepair {
+    /// dirty rows, not the relation.
+    fn prepare_rerepair(&mut self, dirty: BTreeSet<BlockKey>, reresolve: bool) -> PreparedRepair {
         let mut dropped_blocks = 0usize;
         let mut jobs: Vec<BlockJob> = Vec::new();
         for key in &dirty {
@@ -657,15 +572,11 @@ impl IncrementalEngine {
     /// Stage 4 of a re-repair: write the per-block results back into the
     /// cache (fresh resolutions replace the entry; cached-resolution blocks
     /// are updated copy-on-write), refresh the engine stamp, publish the
-    /// epoch and account the outcome.  `results` holds this engine's chase
-    /// results flattened in job order — exactly
-    /// `resolved[i].entity_count` entries per job.
-    ///
-    /// Sequential and owned by the shard: under block-level stealing the
-    /// *resolution and chase* of many shards interleave freely, but each
-    /// shard's cache writes happen here, in canonical (ascending block key)
-    /// order, so snapshot assembly stays bit-identical.
-    pub(crate) fn commit_rerepair(
+    /// epoch and account the outcome.  `results` holds the chase results
+    /// flattened in job order — exactly `resolved[i].entity_count` entries
+    /// per job.  Jobs are in ascending block-key order, so the cache writes
+    /// are too.
+    fn commit_rerepair(
         &mut self,
         prepared: PreparedRepair,
         resolved: Vec<ResolvedJob>,
@@ -721,13 +632,14 @@ impl IncrementalEngine {
         }
         debug_assert_eq!(cursor, results.len(), "chase results drifted from jobs");
         self.stamp = self.engine.plan().stamp();
-        self.publish(&dirty);
+        let dirty_blocks = dirty.len() - dropped_blocks;
+        self.publish(dirty);
 
         self.stats.entities_rerepaired += entities_rerepaired;
         self.stats.entities_reused += entities_reused;
         UpdateOutcome {
             generation: self.relation.generation(),
-            dirty_blocks: dirty.len() - dropped_blocks,
+            dirty_blocks,
             dropped_blocks,
             clean_blocks,
             entities_rerepaired,
@@ -736,14 +648,8 @@ impl IncrementalEngine {
     }
 
     /// Publish the engine's current state as an immutable epoch: pinned
-    /// rows, pinned block cache, and the keys this mutation dirtied.  One
-    /// shard, identity id maps — the sharded engine builds its own combined
-    /// epochs from the per-shard ones.
-    fn publish(&self, dirty: &BTreeSet<BlockKey>) {
-        let dirty_map: BTreeMap<BlockKey, (usize, BlockKey)> = dirty
-            .iter()
-            .map(|key| (key.clone(), (0, key.clone())))
-            .collect();
+    /// rows, pinned block map, and the keys this mutation dirtied.
+    fn publish(&self, dirty: BTreeSet<BlockKey>) {
         self.hub.publish(Epoch {
             id: EpochId(0), // assigned by the hub
             generation: self.relation.generation(),
@@ -751,14 +657,9 @@ impl IncrementalEngine {
             schema: self.relation.schema().clone(),
             blocker: Arc::clone(&self.blocker),
             threads: self.engine.config().threads,
-            shards: vec![ShardView {
-                rows: self.relation.epoch(),
-                blocks: Arc::new(self.blocks.clone()),
-                to_global: None,
-            }],
-            route: None,
-            routing: None,
-            dirty: Arc::new(dirty_map),
+            rows: self.relation.epoch(),
+            blocks: Arc::new(self.blocks.clone()),
+            dirty,
         });
     }
 
@@ -789,13 +690,9 @@ impl IncrementalEngine {
     }
 
     /// The cached repairs of every live block, rebased from block-local to
-    /// this engine's relation row positions, in no particular order.
-    ///
-    /// This is the merge currency of snapshot assembly: [`Self::snapshot`]
-    /// sorts one engine's blocks and hands them to [`assemble_repair`]; the
-    /// sharded engine remaps each shard's positions to corpus-global ones
-    /// first and merges all shards' blocks into the same canonical order.
-    pub(crate) fn assembled_blocks(&self) -> Vec<AssembledBlock> {
+    /// relation row positions, in no particular order: the input of
+    /// [`assemble_repair`].
+    fn assembled_blocks(&self) -> Vec<AssembledBlock> {
         // rows are in ascending id order, so a row's position is its rank
         let order: Vec<RowId> = self.relation.rows().iter().map(|r| r.id).collect();
         let mut out = Vec::with_capacity(self.index.blocks());
@@ -805,7 +702,7 @@ impl IncrementalEngine {
                 .get(key)
                 .expect("every live block has a cached repair");
             debug_assert_eq!(repair.rows, members, "stale block cache");
-            let globals: Vec<usize> = members
+            let positions: Vec<usize> = members
                 .iter()
                 .map(|id| order.binary_search(id).expect("indexed rows are live"))
                 .collect();
@@ -819,8 +716,8 @@ impl IncrementalEngine {
                 .decisions
                 .iter()
                 .map(|d| MatchDecision {
-                    left: globals[d.left],
-                    right: globals[d.right],
+                    left: positions[d.left],
+                    right: positions[d.right],
                     similarity: d.similarity,
                     matched: d.matched,
                     pruned: d.pruned,
@@ -830,12 +727,12 @@ impl IncrementalEngine {
                 .entities
                 .iter()
                 .map(|be| {
-                    let members: Vec<usize> = be.members.iter().map(|&l| globals[l]).collect();
+                    let members: Vec<usize> = be.members.iter().map(|&l| positions[l]).collect();
                     (members, be.result.clone())
                 })
                 .collect();
             out.push(AssembledBlock {
-                first_row: globals.first().copied().unwrap_or(usize::MAX),
+                first_row: positions.first().copied().unwrap_or(usize::MAX),
                 decisions,
                 entities,
                 stats: repair.stats,
@@ -847,101 +744,6 @@ impl IncrementalEngine {
     /// Number of blocks with a live cached repair.
     pub fn cached_blocks(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// Number of live rows in the cached block with this key, if any.
-    pub(crate) fn cached_block_len(&self, key: &BlockKey) -> Option<usize> {
-        self.blocks.get(key).map(|b| b.rows.len())
-    }
-
-    /// Extract one keyed block wholesale for migration to a sibling shard:
-    /// remove its cached repair, delete its rows from the relation and the
-    /// blocking index, and hand everything to the caller.  `None` when no
-    /// such block is cached.  Only [`BlockKey::Key`] blocks migrate — a
-    /// singleton block's key embeds the shard-local row id and cannot move
-    /// id spaces.
-    ///
-    /// The repair (decisions, entities, fingerprints, stats) travels with
-    /// the rows: all of it is indexed by *position* within the block, and
-    /// [`IncrementalEngine::import_block`] re-inserts the rows in the same
-    /// order, so every cached index stays valid without recomputation.
-    pub(crate) fn export_block(&mut self, key: &BlockKey) -> Option<ExportedBlock> {
-        debug_assert!(
-            matches!(key, BlockKey::Key(_)),
-            "singleton blocks are pinned to their shard"
-        );
-        let repair = self.blocks.remove(key)?;
-        let rows: Vec<Tuple> = repair
-            .rows
-            .iter()
-            .map(|&id| {
-                self.relation
-                    .row(id)
-                    .expect("cached block rows are live")
-                    .tuple
-                    .clone()
-            })
-            .collect();
-        let mut batch = UpdateBatch::new(self.name.clone());
-        batch.deletes = repair.rows.clone();
-        let applied = self
-            .relation
-            .apply(&batch)
-            .expect("cached block rows are live");
-        self.index.apply(
-            applied.deleted.iter().map(|(id, _)| *id),
-            std::iter::empty::<(RowId, &Tuple)>(),
-        );
-        // refresh this shard's pinned epoch so the router's next combined
-        // epoch sees the post-handoff rows; nothing is dirty — the block's
-        // repair is unchanged, it merely changed shards
-        self.publish(&BTreeSet::new());
-        Some(ExportedBlock { rows, repair })
-    }
-
-    /// Adopt a block exported by a sibling shard: insert its rows **in
-    /// export order** (fresh ascending local ids), install the travelled
-    /// repair rewritten to the new ids, and return those ids (parallel to
-    /// the exported row order, for the router's id-map handoff).
-    ///
-    /// Order preservation is the whole correctness argument: the exported
-    /// row order is ascending source-local id, which is ascending global id
-    /// (ids are assigned in insertion order on every shard), so the fresh
-    /// ascending local ids keep the block's position-indexed repair valid
-    /// *and* keep local row order a subsequence of global row order within
-    /// the block — exactly what canonical snapshot assembly needs.
-    pub(crate) fn import_block(&mut self, key: &BlockKey, exported: ExportedBlock) -> Vec<RowId> {
-        debug_assert!(
-            !self.blocks.contains_key(key),
-            "a block lives wholly inside one shard"
-        );
-        let ExportedBlock { rows, repair } = exported;
-        let mut batch = UpdateBatch::new(self.name.clone());
-        batch.inserts = rows.iter().map(|t| t.values().to_vec()).collect();
-        let applied = self
-            .relation
-            .apply(&batch)
-            .expect("migrated rows conform to the shared schema");
-        let inserted = applied.inserted.clone();
-        debug_assert_eq!(inserted.len(), repair.rows.len(), "migration lost rows");
-        let pairs: Vec<(RowId, Tuple)> = inserted
-            .iter()
-            .zip(&rows)
-            .map(|(&id, tuple)| (id, tuple.clone()))
-            .collect();
-        let dirty = self.index.apply(
-            std::iter::empty::<RowId>(),
-            pairs.iter().map(|(id, tuple)| (*id, tuple)),
-        );
-        debug_assert!(
-            dirty.blocks.iter().all(|k| k == key),
-            "an imported block's rows must all carry its key"
-        );
-        let mut repair = (*repair).clone();
-        repair.rows = inserted.clone();
-        self.blocks.insert(key.clone(), Arc::new(repair));
-        self.publish(&BTreeSet::new());
-        inserted
     }
 
     /// Number of entities across all cached block repairs.
@@ -988,8 +790,8 @@ pub(crate) struct AssembledBlock {
 /// smallest-member order (like `Blocker::blocks`), entities re-sorted by
 /// ascending smallest member globally (like the first-seen union-find
 /// collection), rows materialized through the shared [`materialize_rows`]
-/// policy.  Shared by [`IncrementalEngine::snapshot`] and the sharded
-/// engine's merge, so both emit bit-identical repairs.
+/// policy.  Shared by [`IncrementalEngine::snapshot`] and the epochs'
+/// [`crate::epoch::assemble_views`], so both emit bit-identical repairs.
 pub(crate) fn assemble_repair(
     relation: Relation,
     mut blocks: Vec<AssembledBlock>,

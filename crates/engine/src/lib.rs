@@ -30,17 +30,14 @@
 //! * [`IncrementalEngine`] — keep a repaired snapshot live under a stream of
 //!   typed [`relacc_store::UpdateBatch`]es and master-data appends,
 //!   re-repairing only the dirty entities of each update ("one workload,
-//!   many versions");
-//! * [`ShardedEngine`] — scale the incremental pipeline out across `N`
-//!   shards (each "an [`IncrementalEngine`] plus its block cache"), routing
-//!   rows by blocking key, splitting row batches / broadcasting master
-//!   deltas, and merging per-shard caches back into the canonical snapshot;
+//!   many versions"); dirty blocks are resolved and chased block-parallel
+//!   over the one worker pool;
 //! * [`EntitySession`] — ground-once state for the interactive framework
 //!   (`relacc_framework::run_session` opens one per session and reuses its
 //!   `Γ` across user rounds);
 //! * [`EpochHub`] / [`Epoch`] — the concurrent read path: every mutation of
-//!   an incremental or sharded engine publishes an immutable epoch (pinned
-//!   row set + block cache), so readers get O(block) point reads
+//!   the incremental engine publishes an immutable epoch (pinned row set +
+//!   block map), so readers get O(block) point reads
 //!   ([`Epoch::repaired_row`], [`Epoch::entity_result`]) and snapshot
 //!   deltas ([`EpochHub::changes_since`]) without ever blocking the writer.
 //!   The `relacc-serve` crate wraps this into a serving API with change
@@ -91,7 +88,6 @@ pub mod epoch;
 pub mod incremental;
 pub mod pool;
 pub mod session;
-pub mod sharded;
 
 pub use batch::{
     BatchEngine, BatchReport, EngineConfig, EntityOutcome, EntityResult, RelationRepair, RepairSkip,
@@ -103,4 +99,3 @@ pub use epoch::{
 pub use incremental::{IncrementalEngine, IncrementalError, IncrementalStats, UpdateOutcome};
 pub use pool::par_map_with;
 pub use session::EntitySession;
-pub use sharded::{ShardStats, ShardedEngine, ShardedStats};

@@ -6,11 +6,9 @@
 //! counter (dynamic scheduling, so a few expensive entities cannot stall a
 //! whole pre-assigned chunk), carry a mutable per-worker state — the engine
 //! passes its [`relacc_core::chase::ChaseScratch`] — and results are returned
-//! in input order regardless of completion order.  The dynamic counter is
-//! also what gives the sharded engine cross-shard work stealing for free:
-//! when every shard's dirty blocks are flattened into one item list, an idle
-//! worker simply pulls the next block no matter which shard it came from, so
-//! one hot mega-shard cannot serialize a batch.
+//! in input order regardless of completion order.  The incremental engine
+//! hands it one item per dirty block, so an idle worker simply pulls the
+//! next block and one large block cannot serialize a batch.
 //!
 //! **`RELACC_POOL_THREADS`.**  When this environment variable holds a
 //! positive integer, it overrides every caller-requested thread count

@@ -219,7 +219,7 @@ fn next_frame(
     reader: &mut FrameReader,
     read_half: &mut TcpStream,
     stop: &AtomicBool,
-) -> Result<Option<Message>, SessionError> {
+) -> Result<Option<Message>, WireError> {
     loop {
         if stop.load(Ordering::SeqCst) {
             return Ok(None);
@@ -232,23 +232,6 @@ fn next_frame(
     }
 }
 
-/// Internal composite so `?` works across wire and session control flow.
-enum SessionError {
-    Wire(WireError),
-}
-
-impl From<WireError> for SessionError {
-    fn from(e: WireError) -> Self {
-        SessionError::Wire(e)
-    }
-}
-
-impl From<io::Error> for SessionError {
-    fn from(e: io::Error) -> Self {
-        SessionError::Wire(WireError::Io(e))
-    }
-}
-
 fn session(
     reader: &mut FrameReader,
     read_half: &mut TcpStream,
@@ -257,20 +240,6 @@ fn session(
     options: &ServeOptions,
     stop: &AtomicBool,
 ) -> Result<SessionEnd, WireError> {
-    match session_inner(reader, read_half, write_half, server, options, stop) {
-        Ok(end) => Ok(end),
-        Err(SessionError::Wire(e)) => Err(e),
-    }
-}
-
-fn session_inner(
-    reader: &mut FrameReader,
-    read_half: &mut TcpStream,
-    write_half: &mut TcpStream,
-    server: &Server,
-    options: &ServeOptions,
-    stop: &AtomicBool,
-) -> Result<SessionEnd, SessionError> {
     // --- handshake -------------------------------------------------------
     let hello = match next_frame(reader, read_half, stop)? {
         Some(m) => m,
@@ -298,10 +267,10 @@ fn session_inner(
             return Ok(SessionEnd::Closed);
         }
         other => {
-            return Err(SessionError::Wire(WireError::Malformed(format!(
+            return Err(WireError::Malformed(format!(
                 "expected Hello, got {:?}",
                 other.msg_type()
-            ))));
+            )));
         }
     }
     write_frame(
@@ -361,10 +330,10 @@ fn session_inner(
                 return feed(reader, read_half, write_half, server, options, stop);
             }
             other => {
-                return Err(SessionError::Wire(WireError::Malformed(format!(
+                return Err(WireError::Malformed(format!(
                     "unexpected request {:?}",
                     other.msg_type()
-                ))));
+                )));
             }
         };
         write_frame(write_half, &response)?;
@@ -382,7 +351,7 @@ fn feed(
     server: &Server,
     options: &ServeOptions,
     stop: &AtomicBool,
-) -> Result<SessionEnd, SessionError> {
+) -> Result<SessionEnd, WireError> {
     let mut subscription = server.subscribe();
     write_frame(
         write_half,
@@ -409,9 +378,9 @@ fn feed(
             Poll::Closed => return Ok(SessionEnd::Closed),
             Poll::Pending => {}
             Poll::Frame(_) => {
-                return Err(SessionError::Wire(WireError::Malformed(
+                return Err(WireError::Malformed(
                     "unexpected frame on a subscribed connection".into(),
-                )));
+                ));
             }
         }
     }

@@ -48,12 +48,12 @@ impl BlockKey {
         }
     }
 
-    /// The block key a row gets under `blocker` — the **routing** primitive of
-    /// sharded repair: a record's block (and therefore its shard) is a pure
-    /// function of its blocking key, with empty-key rows falling back to a
+    /// The block key a row gets under `blocker`: a pure function of its
+    /// blocking key, with empty-key rows falling back to a
     /// [`BlockKey::Singleton`] of the row's id.  This is exactly the key an
     /// [`IncrementalBlockingIndex`] over the same blocker assigns to the row,
-    /// so an external router and the per-shard indices can never disagree.
+    /// so a point read that recomputes a row's key finds the block the index
+    /// put it in.
     pub fn of_row(blocker: &Blocker, id: RowId, tuple: &Tuple) -> Self {
         BlockKey::of_values(blocker, id, tuple.values())
     }

@@ -86,9 +86,9 @@ impl ResolveConfig {
     /// like [`resolve_relation`] does) under the configured strategy.
     ///
     /// Exposed so callers that need block identities *outside* a resolution
-    /// pass — the incremental engine's dirty-block index, the sharded
-    /// router's key-based dispatch — construct the exact same blocker and
-    /// can never drift from the resolution pipeline.
+    /// pass — the incremental engine's dirty-block index and its epochs'
+    /// point reads — construct the exact same blocker and can never drift
+    /// from the resolution pipeline.
     pub fn blocker(&self, schema: &relacc_model::SchemaRef) -> Blocker {
         let match_attrs: Vec<AttrId> = self
             .match_attrs

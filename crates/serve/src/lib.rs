@@ -1,14 +1,14 @@
 //! # relacc-serve
 //!
-//! The concurrent serving layer over the incremental engines: generation-
+//! The concurrent serving layer over the incremental engine: generation-
 //! pinned point reads, snapshot deltas and per-entity change feeds, all built
 //! on the epoch hub of `relacc-engine` ([`relacc_engine::EpochHub`]).
 //!
-//! The engines stay single-writer: a driver thread owns the
-//! [`relacc_engine::IncrementalEngine`] / [`relacc_engine::ShardedEngine`]
-//! and applies update batches; every committed mutation publishes an
-//! immutable [`Epoch`].  A [`Server`] holds only a cloneable hub handle, so
-//! any number of reader threads can
+//! The engine stays single-writer: a driver thread owns the
+//! [`relacc_engine::IncrementalEngine`] and applies update batches; every
+//! committed mutation publishes an immutable [`Epoch`].  A [`Server`] holds
+//! only a cloneable [`EpochHub`] handle, so the engine never learns who
+//! consumes its epochs, and any number of reader threads can
 //!
 //! * **pin** an epoch ([`Server::pin`] / [`Server::pin_at`]) and read a
 //!   frozen, consistent snapshot for as long as they hold the `Arc` — the
@@ -21,15 +21,12 @@
 //!   bit-identically;
 //! * **subscribe** ([`Server::subscribe`]) to a change feed that turns each
 //!   committed batch into per-entity [`EntityChange`]s, falling back to a
-//!   `resync` batch (computed by a full diff of the two pinned epochs, so it
-//!   is still exact) when the hub's retention window was outrun.
-//!
-//! The engine and the transport are separated by [`ServeBackend`]: anything
-//! that can hand out an [`EpochHub`] can be served, and the engines never
-//! learn who consumes their epochs.
+//!   `resync` batch (computed by diffing the blocks the two pinned epochs
+//!   hold differently, so it is still exact) when the hub's retention
+//!   window was outrun.
 //!
 //! ```
-//! use relacc_serve::{ServeBackend, Server};
+//! use relacc_serve::Server;
 //! # use relacc_core::rules::{Predicate, RuleSet, TupleRule};
 //! # use relacc_engine::{BatchEngine, IncrementalEngine};
 //! # use relacc_model::{CmpOp, DataType, Schema, Value};
@@ -74,9 +71,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use relacc_engine::{
-    Epoch, EpochError, EpochHub, EpochId, IncrementalEngine, ShardedEngine, SnapshotDelta,
-};
+use relacc_engine::{Epoch, EpochError, EpochHub, EpochId, IncrementalEngine, SnapshotDelta};
 use relacc_model::Value;
 use relacc_resolve::BlockKey;
 use relacc_store::{Generation, RowId};
@@ -85,32 +80,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub use relacc_engine::{BlockView, EntityView};
-
-/// Anything that can be served: an engine (or transport shim) that hands out
-/// the [`EpochHub`] its commits publish into.  This is the full seam between
-/// engine and serving layer — a [`Server`] keeps only the hub handle.
-pub trait ServeBackend {
-    /// A cloneable handle to the backend's epoch hub.
-    fn epochs(&self) -> EpochHub;
-}
-
-impl ServeBackend for IncrementalEngine {
-    fn epochs(&self) -> EpochHub {
-        IncrementalEngine::epochs(self)
-    }
-}
-
-impl ServeBackend for ShardedEngine {
-    fn epochs(&self) -> EpochHub {
-        ShardedEngine::epochs(self)
-    }
-}
-
-impl ServeBackend for EpochHub {
-    fn epochs(&self) -> EpochHub {
-        self.clone()
-    }
-}
 
 /// The read front of one engine: pinned reads, generation-addressed point
 /// reads, snapshot deltas and subscriptions.  Cheap to clone and `Send +
@@ -121,10 +90,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Serve the given backend's epochs.
-    pub fn new(backend: &impl ServeBackend) -> Self {
+    /// Serve the given engine's epochs.
+    pub fn new(engine: &IncrementalEngine) -> Self {
         Server {
-            hub: backend.epochs(),
+            hub: engine.epochs(),
         }
     }
 
@@ -193,9 +162,9 @@ impl Server {
 ///
 /// The subscription pins its cursor epoch, so even when the hub's retention
 /// window is outrun (more commits than retained epochs since the last poll,
-/// or a slow consumer) the feed stays **exact**: the batch is then computed
-/// by a full diff of the pinned cursor epoch against the current one and
-/// flagged [`ChangeBatch::resync`].
+/// or a slow consumer) the feed stays **exact**: the batch then diffs every
+/// block the pinned cursor epoch and the current one hold differently
+/// ([`Epoch::blocks_changed_since`]) and is flagged [`ChangeBatch::resync`].
 #[derive(Debug)]
 pub struct Subscription {
     hub: EpochHub,
@@ -230,7 +199,7 @@ impl Subscription {
     /// Diff the cursor epoch against `current` and move the cursor.
     fn advance_to(&mut self, current: Arc<Epoch>) -> ChangeBatch {
         let last = std::mem::replace(&mut self.last, Arc::clone(&current));
-        let (resync, changes) = match self.hub.epochs_after(last.id()) {
+        let (resync, keys) = match self.hub.epochs_after(last.id()) {
             Some(epochs) => {
                 // the retained dirty sets cover the whole span: only the
                 // blocks some intermediate epoch touched can have changed
@@ -238,27 +207,17 @@ impl Subscription {
                 for epoch in epochs.iter().filter(|e| e.id() <= current.id()) {
                     keys.extend(epoch.dirty_keys().cloned());
                 }
-                let changes = keys
-                    .iter()
-                    .flat_map(|key| diff_block(key, last.block_view(key), current.block_view(key)))
-                    .collect();
-                (false, changes)
+                (false, keys)
             }
-            None => {
-                // part of the history was evicted — diff every block of the
-                // two pinned epochs instead (exact, just not incremental)
-                let before = last.block_views();
-                let after = current.block_views();
-                let keys: BTreeSet<&BlockKey> = before.keys().chain(after.keys()).collect();
-                let changes = keys
-                    .into_iter()
-                    .flat_map(|key| {
-                        diff_block(key, before.get(key).cloned(), after.get(key).cloned())
-                    })
-                    .collect();
-                (true, changes)
-            }
+            // part of the history was evicted — compare the two pinned
+            // epochs' blocks instead (exact, and no view of an unchanged
+            // block is built)
+            None => (true, current.blocks_changed_since(&last)),
         };
+        let changes = keys
+            .iter()
+            .flat_map(|key| diff_block(key, last.block_view(key), current.block_view(key)))
+            .collect();
         ChangeBatch {
             from: last.generation(),
             from_epoch: last.id(),
@@ -282,8 +241,8 @@ pub struct ChangeBatch {
     /// The epoch the cursor advanced to.
     pub to_epoch: EpochId,
     /// True when the hub's retention window was outrun and the batch was
-    /// computed by a full epoch diff instead of the per-commit dirty sets.
-    /// The contents are still exact.
+    /// computed by comparing the two epochs' blocks instead of from the
+    /// per-commit dirty sets.  The contents are still exact.
     pub resync: bool,
     /// Per-entity changes, grouped by block in ascending key order.
     pub changes: Vec<EntityChange>,
@@ -505,5 +464,49 @@ mod tests {
             vec![RowId(0), RowId(1), RowId(3), RowId(4), RowId(5)]
         );
         assert_eq!(view.repaired.as_ref().unwrap()[1], Value::Int(32));
+    }
+
+    #[test]
+    fn resync_equals_a_diff_of_every_block() {
+        let mut engine = open_engine();
+        engine
+            .apply(&UpdateBatch::new("stat").insert(vec![Value::text("ab"), Value::Int(5)]))
+            .unwrap();
+        engine.set_epoch_retention(1);
+        let server = Server::new(&engine);
+        let mut feed = server.subscribe();
+        let before = Arc::clone(feed.last_seen());
+        // mj grows, sp's block is dropped, zz's block is new, ab is untouched
+        engine
+            .apply(&UpdateBatch::new("stat").insert(vec![Value::text("mj"), Value::Int(40)]))
+            .unwrap();
+        engine
+            .apply(
+                &UpdateBatch::new("stat")
+                    .delete(RowId(2))
+                    .insert(vec![Value::text("zz"), Value::Int(1)]),
+            )
+            .unwrap();
+        let batch = feed.try_next().expect("commits happened");
+        assert!(batch.resync, "history was evicted");
+
+        let after = server.pin();
+        let (old, new) = (before.block_views(), after.block_views());
+        let changed = after.blocks_changed_since(&before);
+        let ab = old
+            .values()
+            .find(|view| view.rows.iter().any(|(id, _)| *id == RowId(3)))
+            .expect("ab's block is pinned")
+            .key
+            .clone();
+        assert!(new.contains_key(&ab) && !changed.contains(&ab));
+        assert_eq!(changed.len(), 3, "mj, sp and zz: {changed:?}");
+
+        let keys: BTreeSet<&BlockKey> = old.keys().chain(new.keys()).collect();
+        let full: Vec<EntityChange> = keys
+            .into_iter()
+            .flat_map(|key| diff_block(key, old.get(key).cloned(), new.get(key).cloned()))
+            .collect();
+        assert_eq!(format!("{:?}", batch.changes), format!("{full:?}"));
     }
 }

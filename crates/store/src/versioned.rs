@@ -40,35 +40,6 @@
 //! gathers an entity's rows.  A page that deletes leave under a quarter full
 //! is merged into a neighbour with room, so the page count stays
 //! proportional to the row count.
-//!
-//! **Per-shard id spaces.** A [`RowId`] is only meaningful relative to the
-//! relation that assigned it.  Sharded deployments (the engine's
-//! `ShardedEngine`) give every shard its **own** `VersionedRelation` — and
-//! therefore its own id space, each independently following the sequential
-//! contract above — and keep the corpus-level view in a router that owns the
-//! remapping: live *global* id → (shard, *local* id) for dispatching
-//! deletes, and per shard local id → global id for reassembling snapshots.
-//! Two consequences the router relies on, both guaranteed here: (a) ids are
-//! handed out strictly in insertion order, so an external router that counts
-//! a shard's inserts predicts the shard's next local id exactly; (b) deletes
-//! preserve the relative order of the surviving rows, so shard-local row
-//! order is always a subsequence of the order the shard *inserted* them in.
-//! Update streams keep scripting deletes against *global* ids; translation
-//! to shard-local ids is the router's job, never the generator's.
-//!
-//! **Block migration.** Elastic sharding (`ShardedEngine::rebalance`) moves
-//! a whole block between shards by deleting its rows from the source
-//! relation and re-inserting them on the target **in export order**
-//! (ascending source-local id), where they take fresh ascending local ids
-//! from the target's sequence — local ids are never recycled or
-//! transplanted across id spaces.  Migration therefore weakens the global
-//! picture from "every shard is a subsequence of global insertion order" to
-//! a per-block guarantee: *within one block*, local id order always equals
-//! the rows' global id order (imports preserve export order, and routing
-//! sends every row of a block to the same shard), which is exactly what the
-//! sharded snapshot merge needs to reassemble blocks order-preservingly.
-//! The local→global remapping for migrated rows stays where it always was:
-//! in the router, never in this crate.
 
 use crate::relation::Relation;
 use relacc_model::{SchemaError, SchemaRef, Tuple, Value};
@@ -198,14 +169,9 @@ impl From<SchemaError> for UpdateError {
 
 /// Validate an [`UpdateBatch`] without applying it: deletes first (liveness
 /// via `is_live`, plus intra-batch duplicates), then insert rows against the
-/// schema.
-///
-/// This is the **single** validation prologue of batch application — shared
-/// by [`VersionedRelation::apply`] and by routers that split batches across
-/// several relations (the engine's `ShardedEngine`), so "a sharded deployment
-/// rejects exactly what a single relation rejects, with the same error" holds
-/// by construction rather than by keeping two copies in sync.
-pub fn validate_batch(
+/// schema.  [`VersionedRelation::apply`] runs this before touching any page,
+/// so a rejected batch leaves the relation unchanged.
+fn validate_batch(
     schema: &SchemaRef,
     mut is_live: impl FnMut(RowId) -> bool,
     batch: &UpdateBatch,

@@ -3,8 +3,7 @@
 //! **bit-identical** answers for every read surface — pinned epochs,
 //! repaired-row and entity point reads at every retained generation,
 //! whole-block deltas, and pushed subscription batches — while the writer
-//! replays a scripted Med update stream.  Checked for a single
-//! [`IncrementalEngine`] and a 3-shard [`ShardedEngine`].
+//! replays a scripted Med update stream from an [`IncrementalEngine`].
 //!
 //! Bit-identity is asserted via `Debug` formatting: the served types carry
 //! `f64`s whose `Debug` prints the shortest round-trip representation, so
@@ -12,12 +11,11 @@
 //! IEEE-754 bits for exactly this reason).
 
 use relacc::datagen::streaming::{med_stream, StreamConfig, StreamOp, UpdateStream};
-use relacc::engine::{BatchEngine, EpochId, IncrementalEngine, ShardedEngine};
-use relacc::model::Value;
+use relacc::engine::{BatchEngine, EpochId, IncrementalEngine};
 use relacc::net::{NetClient, NetError, NetServer};
 use relacc::resolve::{BlockingStrategy, ResolveConfig};
 use relacc::serve::Server;
-use relacc::store::{Generation, RowId, UpdateBatch};
+use relacc::store::{Generation, RowId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -53,53 +51,10 @@ fn resolve_config(stream: &UpdateStream) -> ResolveConfig {
     ResolveConfig::on_attrs(stream.match_attrs.clone()).with_strategy(BlockingStrategy::ExactKey)
 }
 
-/// One writer API over both engine shapes.
-#[allow(clippy::large_enum_variant)] // one engine per test, never collected
-enum AnyEngine {
-    Single(IncrementalEngine),
-    Sharded(ShardedEngine),
-}
-
-impl AnyEngine {
-    fn server(&self) -> Server {
-        match self {
-            AnyEngine::Single(e) => Server::new(e),
-            AnyEngine::Sharded(e) => Server::new(e),
-        }
-    }
-
-    fn set_retention(&self, epochs: usize) {
-        match self {
-            AnyEngine::Single(e) => e.set_epoch_retention(epochs),
-            AnyEngine::Sharded(e) => e.set_epoch_retention(epochs),
-        }
-    }
-
-    fn apply(&mut self, batch: &UpdateBatch) {
-        match self {
-            AnyEngine::Single(e) => e.apply(batch).expect("scripted batches stay valid"),
-            AnyEngine::Sharded(e) => e.apply(batch).expect("scripted batches stay valid"),
-        };
-    }
-
-    fn master_append(&mut self, rows: &[Vec<Value>]) {
-        match self {
-            AnyEngine::Single(e) => e
-                .apply_master_append(0, rows.to_vec())
-                .expect("scripted appends stay valid"),
-            AnyEngine::Sharded(e) => e
-                .apply_master_append(0, rows.to_vec())
-                .expect("scripted appends stay valid"),
-        };
-    }
-
-    fn head(&self) -> (EpochId, Generation) {
-        let epoch = match self {
-            AnyEngine::Single(e) => e.current_epoch(),
-            AnyEngine::Sharded(e) => e.current_epoch(),
-        };
-        (epoch.id(), epoch.generation())
-    }
+/// The engine's current epoch id and generation.
+fn head(engine: &IncrementalEngine) -> (EpochId, Generation) {
+    let epoch = engine.current_epoch();
+    (epoch.id(), epoch.generation())
 }
 
 /// Unwrap a TCP answer into the in-process result shape so the two sides
@@ -125,9 +80,9 @@ fn reads_at(stream: &UpdateStream, g: u64) -> &[RowId] {
 /// subscription and one TCP subscription in lockstep; then sweep every
 /// retained generation with `N_CLIENTS` fresh TCP clients against the
 /// in-process server.
-fn run_differential(mut engine: AnyEngine, stream: &UpdateStream, label: &str) {
-    engine.set_retention(RETENTION);
-    let server = engine.server();
+fn run_differential(mut engine: IncrementalEngine, stream: &UpdateStream, label: &str) {
+    engine.set_epoch_retention(RETENTION);
+    let server = Server::new(&engine);
     let mut net =
         NetServer::spawn(server.clone(), "127.0.0.1:0").expect("bind an ephemeral loopback port");
     let addr = net.local_addr();
@@ -178,13 +133,15 @@ fn run_differential(mut engine: AnyEngine, stream: &UpdateStream, label: &str) {
             "{label}: the two subscriptions must start on the same epoch"
         );
 
-        let (mut last_epoch, _) = engine.head();
+        let (mut last_epoch, _) = head(&engine);
         for op in &stream.ops {
             match op {
-                StreamOp::Rows(batch) => engine.apply(batch),
-                StreamOp::MasterAppend(rows) => engine.master_append(rows),
-            }
-            let (head, _) = engine.head();
+                StreamOp::Rows(batch) => engine.apply(batch).expect("scripted batches stay valid"),
+                StreamOp::MasterAppend(rows) => engine
+                    .apply_master_append(0, rows.clone())
+                    .expect("scripted appends stay valid"),
+            };
+            let (head, _) = head(&engine);
             if head == last_epoch {
                 continue; // the op published nothing new
             }
@@ -209,7 +166,7 @@ fn run_differential(mut engine: AnyEngine, stream: &UpdateStream, label: &str) {
     });
 
     // --- post-replay sweep: every client × every generation --------------
-    let (_, final_generation) = engine.head();
+    let (_, final_generation) = head(&engine);
     for client_id in 0..N_CLIENTS {
         let mut client = NetClient::connect(addr).expect("sweep client connects");
         assert_eq!(client.schema().name(), server.pin().schema().name());
@@ -289,18 +246,5 @@ fn tcp_equals_in_process_single_engine() {
         &stream.relation,
         resolve_config(&stream),
     );
-    run_differential(AnyEngine::Single(engine), &stream, "single");
-}
-
-#[test]
-fn tcp_equals_in_process_sharded_engine() {
-    let stream = stream();
-    let engine = ShardedEngine::open(
-        open_batch_engine(&stream),
-        stream.name.clone(),
-        &stream.relation,
-        resolve_config(&stream),
-        3,
-    );
-    run_differential(AnyEngine::Sharded(engine), &stream, "sharded");
+    run_differential(engine, &stream, "single");
 }

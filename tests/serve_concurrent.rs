@@ -10,14 +10,13 @@
 //! * `changes_since(pinned generation)` stays available (retention covers
 //!   the stream) and starts exactly at the pinned generation.
 //!
-//! Runs against a single [`IncrementalEngine`] and a 3-shard
-//! [`ShardedEngine`]; the CI matrix repeats it at `RELACC_POOL_THREADS` ∈
-//! {1, 4}.
+//! Runs against an [`IncrementalEngine`]; the CI matrix repeats it at
+//! `RELACC_POOL_THREADS` ∈ {1, 4}.
 
 use relacc::datagen::streaming::{med_stream, StreamConfig, StreamOp, UpdateStream};
-use relacc::engine::{BatchEngine, IncrementalEngine, ShardedEngine};
+use relacc::engine::{BatchEngine, IncrementalEngine};
 use relacc::resolve::{BlockingStrategy, ResolveConfig};
-use relacc::serve::{ServeBackend, Server};
+use relacc::serve::Server;
 use relacc::store::{Generation, RowId, VersionedRelation};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,13 +56,8 @@ fn live_sets(stream: &UpdateStream) -> HashMap<Generation, BTreeSet<RowId>> {
 
 /// The writer applies the stream; each reader keeps pinning epochs and
 /// verifying them against the offline replay until the writer is done.
-fn stress<B, W>(backend: &B, stream: &UpdateStream, write: W, label: &str)
-where
-    B: ServeBackend,
-    W: FnOnce(),
-{
+fn stress(server: Server, stream: &UpdateStream, write: impl FnOnce(), label: &str) {
     let expected = live_sets(stream);
-    let server = Server::new(backend);
     let done = AtomicBool::new(false);
     let start = Barrier::new(READERS + 1);
     std::thread::scope(|scope| {
@@ -146,9 +140,8 @@ fn concurrent_reads_never_observe_torn_epochs_single() {
         resolve_config(&stream),
     );
     engine.set_epoch_retention(stream.ops.len() + 2);
-    let hub = engine.epochs();
     stress(
-        &hub,
+        Server::new(&engine),
         &stream,
         || {
             for op in &stream.ops {
@@ -165,43 +158,6 @@ fn concurrent_reads_never_observe_torn_epochs_single() {
             }
         },
         "single",
-    );
-    assert_eq!(
-        engine.current_epoch().generation(),
-        Generation(stream.row_batches() as u64)
-    );
-}
-
-#[test]
-fn concurrent_reads_never_observe_torn_epochs_sharded() {
-    let stream = stream();
-    let mut engine = ShardedEngine::open(
-        open_batch_engine(&stream),
-        stream.name.clone(),
-        &stream.relation,
-        resolve_config(&stream),
-        3,
-    );
-    engine.set_epoch_retention(stream.ops.len() + 2);
-    let hub = engine.epochs();
-    stress(
-        &hub,
-        &stream,
-        || {
-            for op in &stream.ops {
-                match op {
-                    StreamOp::Rows(batch) => {
-                        engine.apply(batch).expect("scripted batches stay valid");
-                    }
-                    StreamOp::MasterAppend(rows) => {
-                        engine
-                            .apply_master_append(0, rows.clone())
-                            .expect("scripted appends stay valid");
-                    }
-                }
-            }
-        },
-        "sharded",
     );
     assert_eq!(
         engine.current_epoch().generation(),

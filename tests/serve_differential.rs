@@ -1,17 +1,13 @@
 //! Differential guard for the serving layer: for **every** generation `G` of
 //! a replayed update stream, `changes_since(G)` composed onto the `G`-pinned
 //! epoch's block views and re-assembled must reproduce the engine's current
-//! `snapshot()` bit-identically — for a single [`IncrementalEngine`] and for
-//! a [`ShardedEngine`] (whose singleton block keys are remapped between
-//! shard-local and global row ids on the way through the epoch API).
+//! `snapshot()` bit-identically for an [`IncrementalEngine`].
 //!
 //! This is the contract that lets a reader catch up from any retained
 //! generation by fetching only the changed blocks instead of the corpus.
 
 use relacc::datagen::streaming::{med_stream, StreamConfig, StreamOp, UpdateStream};
-use relacc::engine::{
-    assemble_views, BatchEngine, EpochHub, IncrementalEngine, RelationRepair, ShardedEngine,
-};
+use relacc::engine::{assemble_views, BatchEngine, EpochHub, IncrementalEngine, RelationRepair};
 use relacc::resolve::{BlockingStrategy, ResolveConfig};
 use relacc::store::Generation;
 
@@ -123,39 +119,4 @@ fn composed_deltas_reproduce_the_current_snapshot_single() {
         "single/current-epoch",
     );
     check_catchup_from_every_generation(&engine.epochs(), &current, "single");
-}
-
-#[test]
-fn composed_deltas_reproduce_the_current_snapshot_sharded() {
-    let stream = med_stream(0.01, 23, &StreamConfig::default());
-    for shards in [1usize, 3] {
-        let mut engine = ShardedEngine::open(
-            open_batch_engine(&stream),
-            stream.name.clone(),
-            &stream.relation,
-            resolve_config(&stream),
-            shards,
-        );
-        engine.set_epoch_retention(stream.ops.len() + 2);
-        for op in &stream.ops {
-            match op {
-                StreamOp::Rows(batch) => {
-                    engine.apply(batch).expect("scripted batches stay valid");
-                }
-                StreamOp::MasterAppend(rows) => {
-                    engine
-                        .apply_master_append(0, rows.clone())
-                        .expect("scripted appends stay valid");
-                }
-            }
-        }
-        let current = engine.snapshot();
-        let label = format!("sharded/{shards}");
-        assert_bit_identical(
-            &engine.current_epoch().snapshot(),
-            &current,
-            &format!("{label}/current-epoch"),
-        );
-        check_catchup_from_every_generation(&engine.epochs(), &current, &label);
-    }
 }

@@ -12,8 +12,6 @@
 //!   floor established in PR 3);
 //! * `BENCH_incremental.json`: `incremental_vs_full_speedup ≥ 3` on a
 //!   ≤10%-dirty update batch (`max_dirty_fraction ≤ 0.10`);
-//! * `BENCH_sharded.json`: `sharded_vs_single_speedup ≥ 2` at `shards ≥ 2`
-//!   (the hot-shard Med stream, PR 5);
 //! * `BENCH_resolve.json`: `resolve_speedup ≥ 3` with `pruned_fraction ≥ 0.5`
 //!   (the fingerprint cascade on the adversarial large-block shape, PR 6) —
 //!   the cascade must actually retire most candidate pairs, not just win on
@@ -28,12 +26,6 @@
 //!   loopback TCP must be bit-identical to its in-process twin, and the
 //!   deliberately generous absolute throughput floor catches a transport
 //!   wedged on socket timeouts without ever judging machine speed;
-//! * `BENCH_elastic.json`: `elastic_vs_static_speedup ≥ 1.5` on the drifting
-//!   hot-shard Med stream with `master_ground_count == 1` (PR 8) — chasing
-//!   the hot block onto a spare shard must beat static placement even with
-//!   migration cost charged to the elastic engine, and a master append must
-//!   ground its delta exactly once across all shards (one-shot grounding,
-//!   not once per shard);
 //! * every gated number must be present, finite and non-negative.
 //!
 //! Usage: `bench-gate [--root <dir>]` (the root defaults to the workspace
@@ -277,57 +269,6 @@ fn gates(file_name: &str) -> (Vec<Floor>, Vec<Ceiling>) {
                 maximum: 0.0,
             }],
         ),
-        "BENCH_sharded.json" => (
-            vec![
-                Floor {
-                    field: "sharded_vs_single_speedup",
-                    minimum: 2.0,
-                },
-                Floor {
-                    field: "shards",
-                    minimum: 2.0,
-                },
-                Floor {
-                    field: "entities",
-                    minimum: 1.0,
-                },
-                Floor {
-                    field: "batches",
-                    minimum: 1.0,
-                },
-            ],
-            vec![],
-        ),
-        "BENCH_elastic.json" => (
-            vec![
-                Floor {
-                    field: "elastic_vs_static_speedup",
-                    minimum: 1.5,
-                },
-                // exactly 1: a floor and a ceiling pin one grounding per
-                // append summed across all shards
-                Floor {
-                    field: "master_ground_count",
-                    minimum: 1.0,
-                },
-                Floor {
-                    field: "shards",
-                    minimum: 2.0,
-                },
-                Floor {
-                    field: "entities",
-                    minimum: 1.0,
-                },
-                Floor {
-                    field: "batches",
-                    minimum: 1.0,
-                },
-            ],
-            vec![Ceiling {
-                field: "master_ground_count",
-                maximum: 1.0,
-            }],
-        ),
         _ => (vec![], vec![]),
     }
 }
@@ -520,28 +461,6 @@ mod tests {
   "smoke": false
 }"#;
 
-    const GOOD_SHARDED: &str = r#"{
-  "bench": "sharded",
-  "corpus": "med-hot",
-  "shards": 4,
-  "entities": 1400,
-  "batches": 12,
-  "sharded_vs_single_speedup": 3.4,
-  "smoke": false
-}"#;
-
-    const GOOD_ELASTIC: &str = r#"{
-  "bench": "elastic",
-  "corpus": "med-hot-drift",
-  "shards": 4,
-  "entities": 5400,
-  "batches": 12,
-  "routing_version": 3,
-  "elastic_vs_static_speedup": 2.8,
-  "master_ground_count": 1.00,
-  "smoke": false
-}"#;
-
     #[test]
     fn parses_flat_reports() {
         let report = parse_flat_json(GOOD_INCREMENTAL).unwrap();
@@ -559,35 +478,11 @@ mod tests {
     fn clean_reports_pass() {
         assert!(check_report("BENCH_topk.json", GOOD_TOPK).is_empty());
         assert!(check_report("BENCH_incremental.json", GOOD_INCREMENTAL).is_empty());
-        assert!(check_report("BENCH_sharded.json", GOOD_SHARDED).is_empty());
         assert!(check_report("BENCH_resolve.json", GOOD_RESOLVE).is_empty());
         assert!(check_report("BENCH_serve.json", GOOD_SERVE).is_empty());
-        assert!(check_report("BENCH_elastic.json", GOOD_ELASTIC).is_empty());
         assert!(check_report("BENCH_net.json", GOOD_NET).is_empty());
         // unknown reports only need the shared invariants
         assert!(check_report("BENCH_new.json", r#"{"x": 1, "smoke": false}"#).is_empty());
-    }
-
-    #[test]
-    fn sharded_gates_are_enforced() {
-        // speedup floor: a 1.4x run regresses below the required 2x
-        let regressed = GOOD_SHARDED.replace("3.4", "1.4");
-        let violations = check_report("BENCH_sharded.json", &regressed);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("sharded_vs_single_speedup"));
-        // a single-shard "sharded" run proves nothing
-        let unsharded = GOOD_SHARDED.replace("\"shards\": 4", "\"shards\": 1");
-        assert!(check_report("BENCH_sharded.json", &unsharded)
-            .iter()
-            .any(|v| v.contains("shards")));
-        // smoke-marked sharded reports are rejected like every other report
-        let smoked = GOOD_SHARDED.replace("\"smoke\": false", "\"smoke\": true");
-        assert!(check_report("BENCH_sharded.json", &smoked)
-            .iter()
-            .any(|v| v.contains("smoke run")));
-        // the gated field must be present
-        let missing = GOOD_SHARDED.replace("sharded_vs_single_speedup", "other");
-        assert!(!check_report("BENCH_sharded.json", &missing).is_empty());
     }
 
     #[test]
@@ -665,38 +560,6 @@ mod tests {
         assert!(check_report("BENCH_net.json", &smoked)
             .iter()
             .any(|v| v.contains("smoke run")));
-    }
-
-    #[test]
-    fn elastic_gates_are_enforced() {
-        // speedup floor: a 1.2x run regresses below the required 1.5x
-        let regressed = GOOD_ELASTIC.replace("2.8", "1.2");
-        let violations = check_report("BENCH_elastic.json", &regressed);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("elastic_vs_static_speedup"));
-        // per-shard grounding (N groundings per append) breaks the ceiling
-        let per_shard = GOOD_ELASTIC.replace("1.00", "4.00");
-        assert!(check_report("BENCH_elastic.json", &per_shard)
-            .iter()
-            .any(|v| v.contains("master_ground_count")));
-        // zero groundings (appends never grounded) breaks the floor
-        let ungrounded = GOOD_ELASTIC.replace("1.00", "0.00");
-        assert!(check_report("BENCH_elastic.json", &ungrounded)
-            .iter()
-            .any(|v| v.contains("master_ground_count")));
-        // a single-shard "elastic" run proves nothing
-        let unsharded = GOOD_ELASTIC.replace("\"shards\": 4", "\"shards\": 1");
-        assert!(check_report("BENCH_elastic.json", &unsharded)
-            .iter()
-            .any(|v| v.contains("shards")));
-        // smoke-marked elastic reports are rejected like every other report
-        let smoked = GOOD_ELASTIC.replace("\"smoke\": false", "\"smoke\": true");
-        assert!(check_report("BENCH_elastic.json", &smoked)
-            .iter()
-            .any(|v| v.contains("smoke run")));
-        // the gated fields must be present
-        let missing = GOOD_ELASTIC.replace("elastic_vs_static_speedup", "other");
-        assert!(!check_report("BENCH_elastic.json", &missing).is_empty());
     }
 
     #[test]
