@@ -18,7 +18,7 @@
 //! (`incremental_vs_full_speedup ≥ 3`).
 
 use criterion::{criterion_group, Criterion};
-use relacc_bench::{bench_output_path, smoke_mode as smoke};
+use relacc_bench::{median, smoke_mode as smoke, write_report};
 use relacc_datagen::streaming::{med_stream, StreamConfig, StreamOp, UpdateStream};
 use relacc_engine::{BatchEngine, IncrementalEngine};
 use relacc_resolve::{BlockingStrategy, ResolveConfig};
@@ -79,14 +79,6 @@ fn bench_batch(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_batch);
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples[samples.len() / 2]
-}
 
 fn incremental_report() {
     let stream = stream();
@@ -156,14 +148,7 @@ fn incremental_report() {
         stats.entities_reused,
         smoke(),
     );
-    let path = bench_output_path(smoke(), "BENCH_incremental.json");
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("incremental: wrote {}", path.display()),
-        Err(err) => eprintln!("incremental: could not write {}: {err}", path.display()),
-    }
+    write_report("incremental", "BENCH_incremental.json", &json);
 }
 
 fn main() {

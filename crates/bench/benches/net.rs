@@ -16,7 +16,7 @@
 //! A criterion group repeats both read paths over the final state.
 
 use criterion::Criterion;
-use relacc_bench::{bench_output_path, smoke_mode as smoke};
+use relacc_bench::{median, smoke_mode as smoke, write_report};
 use relacc_datagen::streaming::{med_stream, StreamConfig, StreamOp, UpdateStream};
 use relacc_engine::{BatchEngine, IncrementalEngine};
 use relacc_net::{NetClient, NetServer};
@@ -54,14 +54,6 @@ fn open_engine(stream: &UpdateStream) -> IncrementalEngine {
         ResolveConfig::on_attrs(stream.match_attrs.clone())
             .with_strategy(BlockingStrategy::ExactKey),
     )
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples[samples.len() / 2]
 }
 
 /// Replay the mixed stream, serving every scripted read over TCP and
@@ -143,14 +135,7 @@ fn net_report() -> (IncrementalEngine, Server, NetServer, NetClient) {
          \"smoke\": {}\n}}\n",
         smoke(),
     );
-    let path = bench_output_path(smoke(), "BENCH_net.json");
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("net: wrote {}", path.display()),
-        Err(err) => eprintln!("net: could not write {}: {err}", path.display()),
-    }
+    write_report("net", "BENCH_net.json", &json);
     (engine, server, net, client)
 }
 

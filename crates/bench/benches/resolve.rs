@@ -33,7 +33,7 @@
 //! inside the end-to-end repair cost it actually amortizes.
 
 use criterion::Criterion;
-use relacc_bench::{bench_output_path, smoke_mode as smoke};
+use relacc_bench::{median, smoke_mode as smoke, write_report};
 use relacc_datagen::adversarial::{large_blocks, LargeBlocksConfig};
 use relacc_datagen::streaming::{rest_stream, StreamConfig, UpdateStream};
 use relacc_engine::BatchEngine;
@@ -41,14 +41,6 @@ use relacc_resolve::{resolve_relation, ResolveConfig};
 use relacc_store::Relation;
 use std::hint::black_box;
 use std::time::Instant;
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples[samples.len() / 2]
-}
 
 /// Median wall time of `resolve_relation(relation, config)` in milliseconds.
 fn time_resolve(relation: &Relation, config: &ResolveConfig, repeats: usize) -> f64 {
@@ -152,14 +144,7 @@ fn resolve_report() -> UpdateStream {
         rest_stats.pruned_fraction(),
         smoke(),
     );
-    let path = bench_output_path(smoke(), "BENCH_resolve.json");
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("resolve: wrote {}", path.display()),
-        Err(err) => eprintln!("resolve: could not write {}: {err}", path.display()),
-    }
+    write_report("resolve", "BENCH_resolve.json", &json);
     stream
 }
 

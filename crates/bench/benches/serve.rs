@@ -19,7 +19,7 @@
 //! paths over the final state.
 
 use criterion::Criterion;
-use relacc_bench::{bench_output_path, smoke_mode as smoke};
+use relacc_bench::{median, smoke_mode as smoke, write_report};
 use relacc_datagen::streaming::{med_stream, StreamConfig, StreamOp, UpdateStream};
 use relacc_engine::{BatchEngine, IncrementalEngine};
 use relacc_model::Value;
@@ -58,14 +58,6 @@ fn open_engine(stream: &UpdateStream) -> IncrementalEngine {
         ResolveConfig::on_attrs(stream.match_attrs.clone())
             .with_strategy(BlockingStrategy::ExactKey),
     )
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples[samples.len() / 2]
 }
 
 /// The snapshot-per-read baseline's row lookup: live ids ascending map 1:1
@@ -165,14 +157,7 @@ fn serve_report() -> IncrementalEngine {
          \"smoke\": {}\n}}\n",
         smoke(),
     );
-    let path = bench_output_path(smoke(), "BENCH_serve.json");
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("serve: wrote {}", path.display()),
-        Err(err) => eprintln!("serve: could not write {}: {err}", path.display()),
-    }
+    write_report("serve", "BENCH_serve.json", &json);
     engine
 }
 

@@ -26,7 +26,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use relacc_bench::smoke_mode as smoke;
+use relacc_bench::{median, smoke_mode as smoke, write_report};
 
 /// A synthetic open entity: one currency-resolved int column plus three text
 /// columns, of which `m` stay open with `d` distinct values each (the other
@@ -160,15 +160,6 @@ fn rest_entities() -> Vec<RestEntity> {
     out
 }
 
-/// Median of timing samples (ns per check).
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples[samples.len() / 2]
-}
-
 /// Measure ns/check over the Rest entities with `runs` samples.
 fn measure_rest(entities: &[RestEntity], runs: usize, delta: bool) -> (f64, usize, usize) {
     // prepare searches once: the base chase / checkpoint capture is shared by
@@ -294,14 +285,7 @@ fn rest_report() {
         delta_steps,
         smoke(),
     );
-    let path = relacc_bench::bench_output_path(smoke(), "BENCH_topk.json");
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("topk_check: wrote {}", path.display()),
-        Err(err) => eprintln!("topk_check: could not write {}: {err}", path.display()),
-    }
+    write_report("topk_check", "BENCH_topk.json", &json);
 }
 
 fn main() {

@@ -36,6 +36,29 @@ pub fn smoke_mode() -> bool {
     std::env::var_os("RELACC_BENCH_SMOKE").is_some()
 }
 
+/// Write a bench's JSON report to [`bench_output_path`] (under `target/` in
+/// smoke mode) and print where it went, prefixed with the bench's name.
+pub fn write_report(bench: &str, file_name: &str, json: &str) {
+    let path = bench_output_path(smoke_mode(), file_name);
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent).ok();
+    }
+    match std::fs::write(&path, json) {
+        Ok(()) => println!("{bench}: wrote {}", path.display()),
+        Err(err) => eprintln!("{bench}: could not write {}: {err}", path.display()),
+    }
+}
+
+/// The median of timing samples (the upper middle one of an even count, 0
+/// of none); sorts `samples` in place.
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    if samples.is_empty() {
+        return 0.0;
+    }
+    samples[samples.len() / 2]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

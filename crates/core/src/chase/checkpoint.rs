@@ -24,15 +24,17 @@
 //!    the events that have *not* fired yet, i.e. the only events a resumed
 //!    run may still have to dispatch.
 //! 2. [`ChaseCheckpoint::resume_check`] seeds only the new target events
-//!    `te[a] := v` for the candidate's `Z` attributes, drains the steps those
-//!    events wake through the frozen subscriptions, and enforces them with
-//!    the *same* validity rules as the full chase (order conflicts, target
-//!    overwrites, the λ update, and the ϕ8 axiom).  Work is proportional to
-//!    the steps actually affected, not to `|Γ|`.
-//! 3. Every mutation — order pairs added, target attributes set, step-state
-//!    transitions — is recorded in an **undo log** held by the caller's
-//!    [`CheckScratch`] and rolled back after the verdict, so one checkpoint
-//!    serves thousands of candidate checks without re-cloning its state.
+//!    `te[a] := v` for the candidate's `Z` attributes and resumes `IsCR`'s
+//!    own step enforcer (the `Chaser` of [`crate::chase::iscr`]) from the
+//!    base fixpoint: the events wake steps through the frozen subscriptions,
+//!    and the woken steps are enforced by the very code of the full chase
+//!    (order conflicts, target overwrites, the λ update, and the ϕ8 axiom).
+//!    Work is proportional to the steps actually affected, not to `|Γ|`.
+//! 3. Every mutation — the order pairs and target attributes the chaser
+//!    adds, and each step state a transition changes — is recorded in an
+//!    **undo log** held by the caller's [`CheckScratch`] and rolled back
+//!    after the verdict, so one checkpoint serves thousands of candidate
+//!    checks without re-cloning its state.
 //!
 //! A candidate is accepted iff the resumed run reaches a fixpoint without an
 //! invalid step; its terminal target then necessarily equals the candidate
@@ -40,13 +42,15 @@
 //! change).  The equivalence with the from-scratch `check` is property-tested
 //! in `tests/prop_checkpoint.rs` at the workspace root.
 
-use super::ground::{origin_name, GroundStep, Grounding, StepAction, StepOrigin};
-use super::index::{ChaseIndex, StepState};
-use super::iscr::{run_chase_with_orders, ChaseStats, Conflict, IndexedScheduler, IsCrOutcome};
-use crate::rules::RuleSet;
-use relacc_model::{
-    AccuracyOrders, AttrId, ClassId, EntityInstance, OrderInsert, TargetTuple, Value,
+use super::ground::{GroundStep, Grounding, StepOrigin};
+use super::index::{pop_ready, ChaseIndex, StepState};
+use super::iscr::{
+    run_chase_with_orders, ChaseEvent, ChaseStats, Chaser, Conflict, IndexedScheduler, IsCrOutcome,
+    StepScheduler, UndoLog,
 };
+use super::spec::AccuracyInstance;
+use crate::rules::RuleSet;
+use relacc_model::{AccuracyOrders, AttrId, EntityInstance, TargetTuple};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -63,10 +67,8 @@ static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
 #[derive(Debug)]
 pub struct ChaseCheckpoint {
     epoch: u64,
-    /// Terminal accuracy orders of the base run.
-    orders: AccuracyOrders,
-    /// The deduced target `t_e`.
-    target: TargetTuple,
+    /// Terminal accuracy orders and deduced target `t_e` of the base run.
+    base: AccuracyInstance,
     /// The index `H` at fixpoint: per-step counters plus the subscriptions of
     /// the events that never fired.
     index: ChaseIndex,
@@ -161,8 +163,7 @@ impl ChaseCheckpoint {
             IsCrOutcome::ChurchRosser(instance) => {
                 CheckpointOutcome::Ready(Box::new(ChaseCheckpoint {
                     epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
-                    orders: instance.orders,
-                    target: instance.target,
+                    base: instance,
                     index,
                     step_count: grounding.steps.len(),
                     stats,
@@ -184,12 +185,12 @@ impl ChaseCheckpoint {
 
     /// The deduced target `t_e` of the base run.
     pub fn target(&self) -> &TargetTuple {
-        &self.target
+        &self.base.target
     }
 
     /// The terminal accuracy orders of the base run.
     pub fn orders(&self) -> &AccuracyOrders {
-        &self.orders
+        &self.base.orders
     }
 
     /// Statistics of the base chase run.
@@ -228,32 +229,40 @@ impl ChaseCheckpoint {
             self.step_count,
             "resume_check called with a grounding that does not match the checkpoint"
         );
-        if !candidate.is_complete() || !self.target.is_completed_by(candidate) {
+        if !candidate.is_complete() || !self.base.target.is_completed_by(candidate) {
             return ResumeCheck {
                 accepted: false,
                 steps_replayed: 0,
             };
         }
         scratch.bind(self);
-        let (accepted, steps_replayed) = {
-            let mut delta = DeltaChaser {
-                rules,
-                steps: &grounding.steps,
-                index: &self.index,
-                orders: scratch.orders.as_mut().expect("scratch bound"),
-                target: &mut scratch.target,
-                states: &mut scratch.states,
-                ready: &mut scratch.ready,
-                events: &mut scratch.events,
-                undo_orders: &mut scratch.undo_orders,
-                undo_targets: &mut scratch.undo_targets,
-                undo_states: &mut scratch.undo_states,
-                steps_replayed: 0,
-            };
-            let verdict = delta.run(candidate);
-            (verdict.is_ok(), delta.steps_replayed)
+        let base = scratch.base.as_mut().expect("scratch bound");
+        let mut chaser = Chaser::new(
+            rules,
+            &mut base.orders,
+            &mut base.target,
+            &mut scratch.events,
+            Some(&mut scratch.undo),
+        );
+        let mut resume = Resume {
+            index: &self.index,
+            states: &mut scratch.states,
+            ready: &mut scratch.ready,
+            undo: &mut scratch.undo_states,
         };
-        debug_assert!(!accepted || &scratch.target == candidate);
+        // the candidate is the initial template: its `Z` values are new
+        // target assignments, every other value must agree with the deduction
+        let accepted = (0..candidate.arity())
+            .map(AttrId)
+            .try_for_each(|attr| {
+                chaser
+                    .set_target(StepOrigin::CandidateSeed, attr, candidate.value(attr))
+                    .map(drop)
+            })
+            .and_then(|()| chaser.run(&grounding.steps, &mut resume))
+            .is_ok();
+        let steps_replayed = chaser.stats.steps_considered;
+        debug_assert!(!accepted || &base.target == candidate);
         scratch.rollback();
         ResumeCheck {
             accepted,
@@ -271,33 +280,15 @@ impl ChaseCheckpoint {
 /// Rebinding to another checkpoint re-seeds the copies; alternating between
 /// checkpoints with a single scratch therefore thrashes — keep one scratch
 /// per concurrently used checkpoint (the batch engine keeps one per worker).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CheckScratch {
     epoch: u64,
-    orders: Option<AccuracyOrders>,
-    target: TargetTuple,
+    base: Option<AccuracyInstance>,
     states: Vec<StepState>,
     ready: VecDeque<usize>,
-    events: VecDeque<DeltaEvent>,
-    undo_orders: Vec<(AttrId, ClassId, ClassId)>,
-    undo_targets: Vec<AttrId>,
+    events: Vec<ChaseEvent>,
+    undo: UndoLog,
     undo_states: Vec<(usize, StepState)>,
-}
-
-impl Default for CheckScratch {
-    fn default() -> Self {
-        CheckScratch {
-            epoch: 0,
-            orders: None,
-            target: TargetTuple::empty(0),
-            states: Vec::new(),
-            ready: VecDeque::new(),
-            events: VecDeque::new(),
-            undo_orders: Vec::new(),
-            undo_targets: Vec::new(),
-            undo_states: Vec::new(),
-        }
-    }
 }
 
 impl CheckScratch {
@@ -311,17 +302,12 @@ impl CheckScratch {
         if self.epoch == ck.epoch {
             return;
         }
-        match &mut self.orders {
-            Some(orders) => orders.clone_from(&ck.orders),
-            None => self.orders = Some(ck.orders.clone()),
-        }
-        self.target.clone_from(&ck.target);
+        self.base = Some(ck.base.clone());
         self.states.clear();
         self.states.extend_from_slice(ck.index.states());
         self.ready.clear();
         self.events.clear();
-        self.undo_orders.clear();
-        self.undo_targets.clear();
+        self.undo = UndoLog::default();
         self.undo_states.clear();
         self.epoch = ck.epoch;
     }
@@ -329,13 +315,8 @@ impl CheckScratch {
     /// Replay the undo logs, restoring the working copies to the bound
     /// checkpoint's base state.
     fn rollback(&mut self) {
-        let orders = self.orders.as_mut().expect("rollback on unbound scratch");
-        for (attr, lo, hi) in self.undo_orders.drain(..).rev() {
-            orders.attr_mut(attr).retract_class_le(lo, hi);
-        }
-        for attr in self.undo_targets.drain(..).rev() {
-            self.target.set(attr, Value::Null);
-        }
+        let base = self.base.as_mut().expect("rollback on unbound scratch");
+        self.undo.rollback(&mut base.orders, &mut base.target);
         for (id, state) in self.undo_states.drain(..).rev() {
             self.states[id] = state;
         }
@@ -344,253 +325,53 @@ impl CheckScratch {
     }
 }
 
-/// Events produced while enforcing delta steps, dispatched through the
-/// checkpoint's frozen subscriptions.
-#[derive(Debug)]
-enum DeltaEvent {
-    Order(AttrId, ClassId, ClassId),
-    Target(AttrId, Value),
+/// The resumed check's scheduler: events reach the steps that still waited
+/// at the base fixpoint through the checkpoint's frozen subscriptions (never
+/// consumed, since each event fires at most once per check), the transitions
+/// run on the scratch's copy of the step states, and each state a transition
+/// changes is logged for rollback.
+struct Resume<'c> {
+    index: &'c ChaseIndex,
+    states: &'c mut [StepState],
+    ready: &'c mut VecDeque<usize>,
+    undo: &'c mut Vec<(usize, StepState)>,
 }
 
-/// The delta enforcement loop: the same validity rules, λ update and ϕ8
-/// handling as [`super::iscr::Chaser`], but operating on the scratch's
-/// working copies with undo logging, and dispatching events through the
-/// checkpoint's surviving subscriptions instead of a mutable index.
-struct DeltaChaser<'a> {
-    rules: &'a RuleSet,
-    steps: &'a [GroundStep],
-    index: &'a ChaseIndex,
-    orders: &'a mut AccuracyOrders,
-    target: &'a mut TargetTuple,
-    states: &'a mut Vec<StepState>,
-    ready: &'a mut VecDeque<usize>,
-    events: &'a mut VecDeque<DeltaEvent>,
-    undo_orders: &'a mut Vec<(AttrId, ClassId, ClassId)>,
-    undo_targets: &'a mut Vec<AttrId>,
-    undo_states: &'a mut Vec<(usize, StepState)>,
-    steps_replayed: usize,
-}
-
-impl DeltaChaser<'_> {
-    /// Seed the candidate's `Z` values, then drain the woken steps to a
-    /// fixpoint.  `Err` means the candidate is rejected.
-    fn run(&mut self, candidate: &TargetTuple) -> Result<(), Conflict> {
-        for a in 0..self.target.arity() {
-            let attr = AttrId(a);
-            if self.target.is_null(attr) {
-                let value = candidate.value(attr).clone();
-                self.set_target(StepOrigin::CandidateSeed, attr, value)?;
-                self.drain_events();
-            } else {
-                // a λ update of an earlier seed may have raced ahead and set
-                // this attribute — with a value that must match the candidate
-                // (the full chase would have detected the mismatch at its
-                // initial-template announcement)
-                if !self.target.value(attr).same(candidate.value(attr)) {
-                    return Err(self.conflict(
-                        StepOrigin::CandidateSeed,
-                        attr,
-                        format!(
-                            "deduction forces {} where the candidate has {}",
-                            self.target.value(attr),
-                            candidate.value(attr)
-                        ),
-                    ));
-                }
-            }
-        }
-        while let Some(id) = self.pop_ready() {
-            self.steps_replayed += 1;
-            let step = &self.steps[id];
-            self.apply(step.origin, &step.action)?;
-            self.drain_events();
-        }
-        Ok(())
-    }
-
-    fn conflict(&self, origin: StepOrigin, attr: AttrId, detail: impl Into<String>) -> Conflict {
-        Conflict {
-            rule: origin_name(self.rules, origin),
-            attr,
-            detail: detail.into(),
-        }
-    }
-
-    fn pop_ready(&mut self) -> Option<usize> {
-        while let Some(id) = self.ready.pop_front() {
-            if !self.states[id].dead {
-                return Some(id);
-            }
-        }
-        None
-    }
-
-    /// Enforce one woken ground step (mirrors `Chaser::apply`).
-    fn apply(&mut self, origin: StepOrigin, action: &StepAction) -> Result<bool, Conflict> {
-        match action {
-            StepAction::Order { attr, lo, hi } => self.insert_order(origin, *attr, *lo, *hi),
-            StepAction::Assign { assignments } => {
-                let mut changed = false;
-                for (attr, value) in assignments {
-                    changed |= self.set_target(origin, *attr, value.clone())?;
-                }
-                Ok(changed)
-            }
-        }
-    }
-
-    /// Enforce `lo ⪯ hi` with undo logging (mirrors `Chaser::insert_order`,
-    /// including the λ update).
-    fn insert_order(
-        &mut self,
-        origin: StepOrigin,
-        attr: AttrId,
-        lo: ClassId,
-        hi: ClassId,
-    ) -> Result<bool, Conflict> {
-        match self.orders.attr_mut(attr).insert_class_le(lo, hi) {
-            OrderInsert::Conflict => Err(self.conflict(
-                origin,
-                attr,
-                format!(
-                    "inserting {lo} ⪯ {hi} would relate two different values in both directions"
-                ),
-            )),
-            OrderInsert::NoChange => Ok(false),
-            OrderInsert::Added(pairs) => {
-                for (a, b) in &pairs {
-                    self.undo_orders.push((attr, *a, *b));
-                    self.events.push_back(DeltaEvent::Order(attr, *a, *b));
-                }
-                let greatest = self.orders.attr(attr).greatest().map(|(_, v)| v.clone());
-                if let Some(v) = greatest {
-                    if self.target.is_null(attr) {
-                        self.set_target(origin, attr, v)?;
-                    } else if !self.target.value(attr).same(&v) {
-                        return Err(self.conflict(
-                            origin,
-                            attr,
-                            format!(
-                                "the most accurate value {v} disagrees with the already \
-                                 deduced target value {}",
-                                self.target.value(attr)
-                            ),
-                        ));
-                    }
-                }
-                Ok(true)
-            }
-        }
-    }
-
-    /// Instantiate `te[attr] := value` with undo logging (mirrors
-    /// `Chaser::set_target`).
-    fn set_target(
-        &mut self,
-        origin: StepOrigin,
-        attr: AttrId,
-        value: Value,
-    ) -> Result<bool, Conflict> {
-        if self.target.is_null(attr) {
-            self.target.set(attr, value);
-            self.undo_targets.push(attr);
-            self.announce_target(attr)?;
-            Ok(true)
-        } else if self.target.value(attr).same(&value) {
-            Ok(false)
-        } else {
-            Err(self.conflict(
-                origin,
-                attr,
-                format!(
-                    "assignment {value} conflicts with the already deduced target value {}",
-                    self.target.value(attr)
-                ),
-            ))
-        }
-    }
-
-    /// Emit the target event and enforce ϕ8 (mirrors
-    /// `Chaser::announce_target`).
-    fn announce_target(&mut self, attr: AttrId) -> Result<(), Conflict> {
-        let value = self.target.value(attr).clone();
-        self.events
-            .push_back(DeltaEvent::Target(attr, value.clone()));
-        if self.rules.axioms.target_highest {
-            let (target_class, others) = {
-                let ord = self.orders.attr(attr);
-                match ord.class_of_value(&value) {
-                    Some(tc) => {
-                        let others: Vec<ClassId> = (0..ord.num_classes())
-                            .map(ClassId)
-                            .filter(|c| *c != tc)
-                            .collect();
-                        (tc, others)
-                    }
-                    None => return Ok(()),
-                }
-            };
-            for c in others {
-                self.insert_order(StepOrigin::AxiomTargetHighest, attr, c, target_class)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Dispatch queued events through the checkpoint's frozen subscriptions
-    /// (mirrors `ChaseIndex::on_order_added` / `on_target_set`; the frozen
-    /// buckets are never consumed, the per-step undo log plays their role).
-    fn drain_events(&mut self) {
-        while let Some(event) = self.events.pop_front() {
-            match event {
-                DeltaEvent::Order(attr, lo, hi) => {
-                    for &id in self.index.order_subscribers(attr, lo, hi) {
-                        self.decrement(id);
-                    }
-                }
-                DeltaEvent::Target(attr, value) => {
-                    for &(id, pidx) in self.index.target_subscribers(attr) {
-                        let state = self.states[id];
-                        if state.dead {
-                            continue;
-                        }
-                        if self.steps[id].pending[pidx].eval_target(&value) {
-                            self.decrement(id);
-                        } else if !state.enqueued {
-                            self.touch(id);
-                            self.states[id].dead = true;
-                        }
-                        // an already-enqueued step stays queued, exactly as in
-                        // the full chase's index
-                    }
-                }
-            }
-        }
-    }
-
-    /// Record a step's pre-mutation state for rollback.
-    fn touch(&mut self, id: usize) {
-        self.undo_states.push((id, self.states[id]));
-    }
-
-    /// One pending predicate of step `id` became satisfied (mirrors
-    /// `ChaseIndex::decrement`).
-    fn decrement(&mut self, id: usize) {
-        let state = self.states[id];
-        if state.dead || state.enqueued {
-            if !state.enqueued {
-                self.touch(id);
-                let remaining = &mut self.states[id].remaining;
-                *remaining = remaining.saturating_sub(1);
-            }
-            return;
-        }
-        self.touch(id);
-        self.states[id].remaining -= 1;
-        if self.states[id].remaining == 0 {
-            self.states[id].enqueued = true;
+impl Resume<'_> {
+    /// Run one transition on step `id`: queue the step when it became
+    /// ready, and log its prior state when the transition changed it.
+    fn transition(&mut self, id: usize, apply: impl FnOnce(&mut StepState) -> bool) {
+        let before = self.states[id];
+        if apply(&mut self.states[id]) {
             self.ready.push_back(id);
         }
+        if self.states[id] != before {
+            self.undo.push((id, before));
+        }
+    }
+}
+
+impl StepScheduler for Resume<'_> {
+    fn begin(&mut self, _: &mut Chaser<'_>, _: &[GroundStep]) {}
+
+    fn next_step(&mut self, chaser: &mut Chaser<'_>, steps: &[GroundStep]) -> Option<usize> {
+        let index = self.index;
+        for event in chaser.take_events() {
+            match event {
+                ChaseEvent::Order(attr, lo, hi) => {
+                    for &id in index.order_subscribers(attr, lo, hi) {
+                        self.transition(id, StepState::satisfy);
+                    }
+                }
+                ChaseEvent::Target(attr, value) => {
+                    for &(id, pidx) in index.target_subscribers(attr) {
+                        let premise = &steps[id].pending[pidx];
+                        self.transition(id, |state| state.settle(|| premise.eval_target(&value)));
+                    }
+                }
+            }
+        }
+        pop_ready(self.ready, self.states)
     }
 }
 
@@ -601,7 +382,7 @@ mod tests {
     use crate::chase::iscr::chase_with_grounding;
     use crate::chase::spec::Specification;
     use crate::rules::{MasterRule, Predicate, RuleSet, TupleRule};
-    use relacc_model::{CmpOp, DataType, MasterRelation, Schema, TupleId};
+    use relacc_model::{CmpOp, DataType, MasterRelation, Schema, TupleId, Value};
 
     /// rnds deducible; team/arena open (the Example 9 shape).
     fn open_spec() -> Specification {
@@ -735,38 +516,52 @@ mod tests {
         assert!(!full_check(&spec, &grounding, &bad));
     }
 
-    #[test]
-    fn delta_replays_affected_steps_and_rolls_back() {
-        // A correlated rule waiting on the team target: seeding the candidate
-        // must wake and replay it, λ must then deduce the rank attribute, and
-        // the rollback must restore the base state so the next check starts
-        // clean.
+    /// `te[a] = value`, a premise on the target.
+    fn target_is(attr: usize, value: Value) -> Predicate {
+        Predicate::Cmp {
+            left: crate::rules::Operand::Target(AttrId(attr)),
+            op: CmpOp::Eq,
+            right: crate::rules::Operand::Const(value),
+        }
+    }
+
+    /// A correlated rule waiting on the team target:
+    /// `te[team] = "Bulls" ∧ t1[rank] < t2[rank] → t1 ⪯rank t2`.
+    fn corr_rule() -> TupleRule {
+        TupleRule::new(
+            "corr",
+            vec![
+                target_is(0, Value::text("Bulls")),
+                Predicate::cmp_attrs(AttrId(1), CmpOp::Lt),
+            ],
+            AttrId(1),
+        )
+    }
+
+    /// Tuples `(Bulls, 2)` and `(Sox, 1)` over `(team, rank)` under `rules`;
+    /// without master data both attributes stay open.
+    fn team_rank_spec(rules: Vec<TupleRule>) -> Specification {
         let schema = Schema::builder("r")
             .attr("team", DataType::Text)
             .attr("rank", DataType::Int)
             .build();
         let ie = EntityInstance::from_rows(
-            schema.clone(),
+            schema,
             vec![
                 vec![Value::text("Bulls"), Value::Int(2)],
                 vec![Value::text("Sox"), Value::Int(1)],
             ],
         )
         .unwrap();
-        // te[team] = "Bulls" ∧ t1[rank] < t2[rank] → t1 ⪯rank t2
-        let rule = TupleRule::new(
-            "corr",
-            vec![
-                Predicate::Cmp {
-                    left: crate::rules::Operand::Target(AttrId(0)),
-                    op: CmpOp::Eq,
-                    right: crate::rules::Operand::Const(Value::text("Bulls")),
-                },
-                Predicate::cmp_attrs(AttrId(1), CmpOp::Lt),
-            ],
-            AttrId(1),
-        );
-        let spec = Specification::new(ie, RuleSet::from_rules([rule]));
+        Specification::new(ie, RuleSet::from_rules(rules))
+    }
+
+    #[test]
+    fn delta_replays_affected_steps_and_rolls_back() {
+        // Seeding the candidate must wake and replay the correlated step, λ
+        // must then deduce the rank attribute, and the rollback must restore
+        // the base state so the next check starts clean.
+        let spec = team_rank_spec(vec![corr_rule()]);
         let (ck, grounding) = capture_spec(&spec);
         assert!(ck.target().is_null(AttrId(0)));
         assert!(ck.target().is_null(AttrId(1)));
@@ -793,6 +588,75 @@ mod tests {
         // the interleaved rejections is bit-identical
         let again = ck.resume_check(&spec.rules, &grounding, &accepted, &mut scratch);
         assert_eq!(first, again);
+    }
+
+    /// Every related tuple pair of every attribute, as comparable data.
+    fn order_pairs(orders: &AccuracyOrders) -> Vec<Vec<(TupleId, TupleId)>> {
+        orders.iter().map(|o| o.related_tuple_pairs()).collect()
+    }
+
+    #[test]
+    fn rollback_restores_a_freshly_bound_scratch() {
+        // a second rule waits on both targets, so its step changes state
+        // twice within one check: te[team] = "Bulls" ∧ te[rank] = 2 ∧
+        // t1[rank] < t2[rank] → t1 ⪯team t2
+        let both = TupleRule::new(
+            "both",
+            vec![
+                target_is(0, Value::text("Bulls")),
+                target_is(1, Value::Int(2)),
+                Predicate::cmp_attrs(AttrId(1), CmpOp::Lt),
+            ],
+            AttrId(0),
+        );
+        let spec = team_rank_spec(vec![corr_rule(), both]);
+        let (ck, grounding) = capture_spec(&spec);
+        let mut scratch = CheckScratch::new();
+        let check = |scratch: &mut CheckScratch, team: &str, rank: i64| {
+            let candidate = TargetTuple::from_values(vec![Value::text(team), Value::Int(rank)]);
+            let verdict = ck.resume_check(&spec.rules, &grounding, &candidate, scratch);
+            assert_eq!(
+                verdict.accepted,
+                full_check(&spec, &grounding, &candidate),
+                "team={team} rank={rank}"
+            );
+            (verdict, candidate)
+        };
+        // accepted: the correlated step orders rank 1 ⪯ 2 and λ deduces rank 2
+        assert!(check(&mut scratch, "Bulls", 2).0.accepted);
+        // rejected by the correlated step's order insert: the seed's ϕ8
+        // already ranked 1 above 2
+        assert!(!check(&mut scratch, "Bulls", 1).0.accepted);
+        // both rules die with team = Sox: both observed ranks stay possible
+        assert!(check(&mut scratch, "Sox", 1).0.accepted);
+        assert!(check(&mut scratch, "Sox", 2).0.accepted);
+        // rejected inside λ of the correlated step: 3 is no observed rank, so
+        // its seed adds no ϕ8 edge, and once the step orders 1 ⪯ 2 the
+        // greatest rank 2 disagrees with the seeded 3 (the step's order event
+        // is left undispatched)
+        let (verdict, candidate) = check(&mut scratch, "Bulls", 3);
+        assert!(!verdict.accepted);
+        assert!(
+            verdict.steps_replayed > 0,
+            "the conflict comes from a woken step"
+        );
+        let full = chase_with_grounding(&spec, &grounding, &candidate).outcome;
+        assert!(full
+            .conflict()
+            .is_some_and(|c| c.detail.contains("most accurate value")));
+
+        let mut fresh = CheckScratch::new();
+        fresh.bind(&ck);
+        let (used, bound) = (scratch.base.as_ref().unwrap(), fresh.base.as_ref().unwrap());
+        for order in used.orders.iter() {
+            order.check_invariants().unwrap();
+        }
+        assert_eq!(order_pairs(&used.orders), order_pairs(&bound.orders));
+        assert_eq!(used.orders.total_edges(), bound.orders.total_edges());
+        assert_eq!(used.target, bound.target);
+        assert_eq!(scratch.states, fresh.states);
+        assert!(scratch.ready.is_empty() && scratch.events.is_empty());
+        assert!(scratch.undo_states.is_empty());
     }
 
     #[test]

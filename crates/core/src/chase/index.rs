@@ -18,12 +18,54 @@ use std::collections::{HashMap, VecDeque};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct StepState {
     /// Number of pending predicates not yet satisfied (`n_φ`).
-    pub(crate) remaining: usize,
+    remaining: usize,
     /// The step can never fire (a target predicate evaluated to false).
-    pub(crate) dead: bool,
+    dead: bool,
     /// The step has been pushed to `Q` (it is pushed at most once).  At a
     /// chase fixpoint the queue is empty, so `enqueued` then means *fired*.
-    pub(crate) enqueued: bool,
+    enqueued: bool,
+}
+
+impl StepState {
+    /// One pending predicate became satisfied.  Returns true when the step
+    /// just became applicable and must be pushed to `Q`; a dead or already
+    /// queued step is settled and ignores further premises.
+    pub(crate) fn satisfy(&mut self) -> bool {
+        if self.dead || self.enqueued {
+            return false;
+        }
+        self.remaining -= 1;
+        self.enqueued = self.remaining == 0;
+        self.enqueued
+    }
+
+    /// A target predicate was evaluated now that its attribute is defined:
+    /// a true one counts down like [`StepState::satisfy`], a false one kills
+    /// the step unless it is already queued (it became applicable before this
+    /// predicate could be falsified, so it stays queued).
+    pub(crate) fn settle(&mut self, holds: impl FnOnce() -> bool) -> bool {
+        if self.dead {
+            return false;
+        }
+        if holds() {
+            return self.satisfy();
+        }
+        if !self.enqueued {
+            self.dead = true;
+        }
+        false
+    }
+}
+
+/// `NextStep` of the paper: pop the next queued step that is still live
+/// (steps marked dead after being queued are skipped).
+pub(crate) fn pop_ready(ready: &mut VecDeque<usize>, states: &[StepState]) -> Option<usize> {
+    while let Some(id) = ready.pop_front() {
+        if !states[id].dead {
+            return Some(id);
+        }
+    }
+    None
 }
 
 /// The index `H` plus the ready queue `Q`.
@@ -44,7 +86,6 @@ pub struct ChaseIndex {
     by_target: HashMap<AttrId, Vec<(usize, usize)>>,
     /// The ready queue `Q`.
     ready: VecDeque<usize>,
-    dead_steps: usize,
     /// Retired subscriber buckets, recycled by [`ChaseIndex::reset`] so the
     /// per-key `Vec`s are not reallocated for every entity of a batch.
     spare_order: Vec<Vec<usize>>,
@@ -74,7 +115,6 @@ impl ChaseIndex {
             self.spare_target.push(bucket);
         }
         self.ready.clear();
-        self.dead_steps = 0;
         let mut spare_order = std::mem::take(&mut self.spare_order);
         let mut spare_target = std::mem::take(&mut self.spare_target);
         for (idx, step) in steps.iter().enumerate() {
@@ -111,34 +151,13 @@ impl ChaseIndex {
 
     /// Number of steps marked dead (unsatisfiable).
     pub fn dead_count(&self) -> usize {
-        self.dead_steps
+        self.states.iter().filter(|s| s.dead).count()
     }
 
     /// Pop the next ready step (`NextStep` of the paper), skipping steps that
     /// were marked dead after being enqueued.
     pub fn pop_ready(&mut self) -> Option<usize> {
-        while let Some(id) = self.ready.pop_front() {
-            if !self.states[id].dead {
-                return Some(id);
-            }
-        }
-        None
-    }
-
-    fn decrement(&mut self, id: usize) {
-        let state = &mut self.states[id];
-        if state.dead || state.enqueued {
-            // Already settled; counters of enqueued steps no longer matter.
-            if !state.enqueued {
-                state.remaining = state.remaining.saturating_sub(1);
-            }
-            return;
-        }
-        state.remaining -= 1;
-        if state.remaining == 0 {
-            state.enqueued = true;
-            self.ready.push_back(id);
-        }
+        pop_ready(&mut self.ready, &self.states)
     }
 
     /// Notify the index that `lo ⪯ hi` now holds on `attr` (a newly related
@@ -146,7 +165,9 @@ impl ChaseIndex {
     pub fn on_order_added(&mut self, attr: AttrId, lo: ClassId, hi: ClassId) {
         if let Some(mut waiting) = self.by_order.remove(&(attr, lo, hi)) {
             for id in waiting.drain(..) {
-                self.decrement(id);
+                if self.states[id].satisfy() {
+                    self.ready.push_back(id);
+                }
             }
             self.spare_order.push(waiting);
         }
@@ -161,19 +182,8 @@ impl ChaseIndex {
     pub fn on_target_set(&mut self, steps: &[GroundStep], attr: AttrId, value: &Value) {
         if let Some(mut waiting) = self.by_target.remove(&attr) {
             for (id, pidx) in waiting.drain(..) {
-                if self.states[id].dead {
-                    continue;
-                }
-                let satisfied = steps[id].pending[pidx].eval_target(value);
-                if satisfied {
-                    self.decrement(id);
-                } else if !self.states[id].enqueued {
-                    self.states[id].dead = true;
-                    self.dead_steps += 1;
-                } else {
-                    // The step is already queued: it became applicable before
-                    // this predicate could be falsified, so it stays queued (it
-                    // had no pending predicate on this attribute left).
+                if self.states[id].settle(|| steps[id].pending[pidx].eval_target(value)) {
+                    self.ready.push_back(id);
                 }
             }
             self.spare_target.push(waiting);

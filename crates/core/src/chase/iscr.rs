@@ -22,9 +22,11 @@
 //! target value above every other class of that attribute.
 //!
 //! All chase variants — the indexed `IsCR`, the index-free [`naive_is_cr`]
-//! used by the ablation benchmark, and the seeded free-order chase of
-//! [`crate::chase::free`] — share one core loop, `run_chase`, parameterized
-//! by a `StepScheduler` that decides which applicable step fires next.
+//! used by the ablation benchmark, the seeded free-order chase of
+//! [`crate::chase::free`] and the resumed candidate check of
+//! [`crate::chase::checkpoint`] — enforce steps through one `Chaser` loop,
+//! parameterized by a `StepScheduler` that decides which applicable step
+//! fires next.
 
 use super::ground::{origin_name, GroundStep, Grounding, PendingPred, StepAction, StepOrigin};
 use super::index::ChaseIndex;
@@ -143,43 +145,65 @@ pub struct ChaseRun {
     pub stats: ChaseStats,
 }
 
-/// Events emitted while enforcing a step; the indexed scheduler feeds them
+/// Events emitted while enforcing a step; the indexed schedulers feed them
 /// back into the index (the rescanning schedulers ignore them).
+#[derive(Debug)]
 pub(crate) enum ChaseEvent {
     Order(AttrId, ClassId, ClassId),
     Target(AttrId, Value),
 }
 
-/// The mutable chase state shared by every scheduler.
+/// The order pairs and target attributes a [`Chaser`] added, oldest first,
+/// so that a resumed candidate check can be rolled back to its checkpoint.
+#[derive(Debug, Default)]
+pub(crate) struct UndoLog {
+    orders: Vec<(AttrId, ClassId, ClassId)>,
+    targets: Vec<AttrId>,
+}
+
+impl UndoLog {
+    /// Retract everything logged, newest first, leaving the log empty.
+    pub(crate) fn rollback(&mut self, orders: &mut AccuracyOrders, target: &mut TargetTuple) {
+        for (attr, lo, hi) in self.orders.drain(..).rev() {
+            orders.attr_mut(attr).retract_class_le(lo, hi);
+        }
+        for attr in self.targets.drain(..).rev() {
+            target.set(attr, Value::Null);
+        }
+    }
+}
+
+/// The one step enforcer: every chase runs through it, under any scheduler,
+/// and so does the resumed candidate check of [`crate::chase::checkpoint`].
 ///
-/// A chaser borrows the entity instance and the rule set directly (not a
-/// [`Specification`]), so the compile-once pipeline can run chases without
-/// materializing a specification per entity.
+/// A chaser borrows the accuracy instance it mutates, the event buffer its
+/// scheduler drains and, for resumed checks only, an undo log.  It borrows
+/// the rule set directly (not a [`Specification`]), so the compile-once
+/// pipeline can run chases without materializing a specification per entity.
 pub(crate) struct Chaser<'a> {
-    ie: &'a EntityInstance,
     rules: &'a RuleSet,
-    orders: AccuracyOrders,
-    target: TargetTuple,
+    orders: &'a mut AccuracyOrders,
+    target: &'a mut TargetTuple,
+    events: &'a mut Vec<ChaseEvent>,
+    undo: Option<&'a mut UndoLog>,
     pub(crate) stats: ChaseStats,
-    events: Vec<ChaseEvent>,
 }
 
 impl<'a> Chaser<'a> {
-    /// Start from pre-built (still empty) orders — the plan path builds them
-    /// once for grounding and hands them over instead of rebuilding.
-    pub(crate) fn with_orders(
-        ie: &'a EntityInstance,
+    pub(crate) fn new(
         rules: &'a RuleSet,
-        orders: AccuracyOrders,
-        initial_target: &TargetTuple,
+        orders: &'a mut AccuracyOrders,
+        target: &'a mut TargetTuple,
+        events: &'a mut Vec<ChaseEvent>,
+        undo: Option<&'a mut UndoLog>,
     ) -> Self {
         Chaser {
-            ie,
             rules,
             orders,
-            target: initial_target.clone(),
+            target,
+            events,
+            undo,
             stats: ChaseStats::default(),
-            events: Vec::new(),
         }
     }
 
@@ -193,9 +217,9 @@ impl<'a> Chaser<'a> {
 
     /// Seed the axioms and the initial target: ϕ7 edges, plus ϕ8 edges and
     /// target events for every attribute the initial template already defines.
-    pub(crate) fn bootstrap(&mut self) -> Result<(), Conflict> {
+    fn bootstrap(&mut self, ie: &EntityInstance) -> Result<(), Conflict> {
         if self.rules.axioms.null_lowest {
-            for attr in self.ie.schema().attr_ids() {
+            for attr in ie.schema().attr_ids() {
                 let (null_class, others) = {
                     let ord = self.orders.attr(attr);
                     let Some(nc) = ord.null_class() else { continue };
@@ -210,7 +234,7 @@ impl<'a> Chaser<'a> {
                 }
             }
         }
-        for attr in self.ie.schema().attr_ids() {
+        for attr in ie.schema().attr_ids() {
             if !self.target.is_null(attr) {
                 self.announce_target(attr)?;
             }
@@ -222,11 +246,11 @@ impl<'a> Chaser<'a> {
         // enforcing ϕ9 on the equal-valued tuple pairs achieves in the paper's
         // tuple-level formulation.
         if self.rules.axioms.equal_values {
-            for attr in self.ie.schema().attr_ids() {
+            for attr in ie.schema().attr_ids() {
                 let greatest = self.orders.attr(attr).greatest().map(|(_, v)| v.clone());
                 if let Some(v) = greatest {
                     if self.target.is_null(attr) {
-                        self.set_target(StepOrigin::AxiomEqualValues, attr, v)?;
+                        self.set_target(StepOrigin::AxiomEqualValues, attr, &v)?;
                     } else if !self.target.value(attr).same(&v) {
                         return Err(self.conflict(
                             StepOrigin::AxiomEqualValues,
@@ -264,14 +288,17 @@ impl<'a> Chaser<'a> {
             OrderInsert::NoChange => Ok(false),
             OrderInsert::Added(pairs) => {
                 self.stats.order_pairs_added += pairs.len();
-                for (a, b) in &pairs {
-                    self.events.push(ChaseEvent::Order(attr, *a, *b));
+                for &(a, b) in &pairs {
+                    self.events.push(ChaseEvent::Order(attr, a, b));
+                }
+                if let Some(undo) = self.undo.as_deref_mut() {
+                    undo.orders.extend(pairs.iter().map(|&(a, b)| (attr, a, b)));
                 }
                 // λ: if a greatest value emerged, instantiate the target.
                 let greatest = self.orders.attr(attr).greatest().map(|(_, v)| v.clone());
                 if let Some(v) = greatest {
                     if self.target.is_null(attr) {
-                        self.set_target(origin, attr, v)?;
+                        self.set_target(origin, attr, &v)?;
                     } else if !self.target.value(attr).same(&v) {
                         return Err(self.conflict(
                             origin,
@@ -291,18 +318,21 @@ impl<'a> Chaser<'a> {
 
     /// Instantiate `te[attr] := value` (validity condition (b): a non-null
     /// target value may never change).
-    fn set_target(
+    pub(crate) fn set_target(
         &mut self,
         origin: StepOrigin,
         attr: AttrId,
-        value: Value,
+        value: &Value,
     ) -> Result<bool, Conflict> {
         if self.target.is_null(attr) {
-            self.target.set(attr, value);
+            self.target.set(attr, value.clone());
             self.stats.target_assignments += 1;
+            if let Some(undo) = self.undo.as_deref_mut() {
+                undo.targets.push(attr);
+            }
             self.announce_target(attr)?;
             Ok(true)
-        } else if self.target.value(attr).same(&value) {
+        } else if self.target.value(attr).same(value) {
             Ok(false)
         } else {
             Err(self.conflict(
@@ -343,25 +373,42 @@ impl<'a> Chaser<'a> {
     }
 
     /// Enforce one ground step; returns whether it changed the instance.
-    pub(crate) fn apply(
-        &mut self,
-        origin: StepOrigin,
-        action: &StepAction,
-    ) -> Result<bool, Conflict> {
+    fn apply(&mut self, origin: StepOrigin, action: &StepAction) -> Result<bool, Conflict> {
         match action {
             StepAction::Order { attr, lo, hi } => self.insert_order(origin, *attr, *lo, *hi),
             StepAction::Assign { assignments } => {
                 let mut changed = false;
                 for (attr, value) in assignments {
-                    changed |= self.set_target(origin, *attr, value.clone())?;
+                    changed |= self.set_target(origin, *attr, value)?;
                 }
                 Ok(changed)
             }
         }
     }
 
-    pub(crate) fn take_events(&mut self) -> Vec<ChaseEvent> {
-        std::mem::take(&mut self.events)
+    /// Enforce the scheduler's steps until none is left (`Ok`) or one is
+    /// invalid (`Err`: no stable terminal chasing sequence exists).
+    pub(crate) fn run<S: StepScheduler>(
+        &mut self,
+        steps: &[GroundStep],
+        scheduler: &mut S,
+    ) -> Result<(), Conflict> {
+        scheduler.begin(self, steps);
+        while let Some(id) = scheduler.next_step(self, steps) {
+            self.stats.steps_considered += 1;
+            let step = &steps[id];
+            if self.apply(step.origin, &step.action)? {
+                self.stats.steps_applied += 1;
+            } else {
+                self.stats.noop_steps += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// The events emitted since the last call, oldest first.
+    pub(crate) fn take_events(&mut self) -> std::vec::Drain<'_, ChaseEvent> {
+        self.events.drain(..)
     }
 
     fn discard_events(&mut self) {
@@ -369,36 +416,25 @@ impl<'a> Chaser<'a> {
     }
 
     /// Current orders (used by the rescanning schedulers to evaluate premises).
-    pub(crate) fn orders(&self) -> &AccuracyOrders {
-        &self.orders
+    fn orders(&self) -> &AccuracyOrders {
+        self.orders
     }
 
     /// Current target template.
-    pub(crate) fn target(&self) -> &TargetTuple {
-        &self.target
-    }
-
-    pub(crate) fn finish(self, outcome_is_cr: bool, conflict: Option<Conflict>) -> ChaseRun {
-        let stats = self.stats;
-        let outcome = if outcome_is_cr {
-            IsCrOutcome::ChurchRosser(AccuracyInstance {
-                orders: self.orders,
-                target: self.target,
-            })
-        } else {
-            IsCrOutcome::NotChurchRosser(conflict.expect("conflict present when not CR"))
-        };
-        ChaseRun { outcome, stats }
+    fn target(&self) -> &TargetTuple {
+        self.target
     }
 }
 
 /// Strategy choosing which applicable ground step fires next.
 ///
 /// This is the only difference between the indexed `IsCR` chase, the naive
-/// rescanning chase and the seeded free-order chase; the enforcement loop,
-/// validity checks and statistics are shared by [`run_chase`].
+/// rescanning chase, the seeded free-order chase and the resumed candidate
+/// check; the enforcement loop, validity checks and statistics are shared by
+/// [`Chaser::run`].
 pub(crate) trait StepScheduler {
-    /// Called once after the axioms were bootstrapped, before the first step.
+    /// Called once the initial template is seeded (the axioms of a full
+    /// chase, the candidate of a resumed check), before the first step.
     fn begin(&mut self, chaser: &mut Chaser<'_>, steps: &[GroundStep]);
     /// Produce the next step to enforce, or `None` when no applicable,
     /// unfired step remains.
@@ -433,23 +469,29 @@ pub(crate) fn run_chase_with_orders<S: StepScheduler>(
     initial_target: &TargetTuple,
     scheduler: &mut S,
 ) -> ChaseRun {
-    let mut chaser = Chaser::with_orders(ie, rules, orders, initial_target);
+    let mut instance = AccuracyInstance {
+        orders,
+        target: initial_target.clone(),
+    };
+    let mut events = Vec::new();
+    let mut chaser = Chaser::new(
+        rules,
+        &mut instance.orders,
+        &mut instance.target,
+        &mut events,
+        None,
+    );
     chaser.stats.ground_steps = grounding.steps.len();
     chaser.stats.pairs_considered = grounding.pairs_considered;
-    if let Err(conflict) = chaser.bootstrap() {
-        return chaser.finish(false, Some(conflict));
-    }
-    scheduler.begin(&mut chaser, &grounding.steps);
-    while let Some(id) = scheduler.next_step(&mut chaser, &grounding.steps) {
-        chaser.stats.steps_considered += 1;
-        let step = &grounding.steps[id];
-        match chaser.apply(step.origin, &step.action) {
-            Ok(true) => chaser.stats.steps_applied += 1,
-            Ok(false) => chaser.stats.noop_steps += 1,
-            Err(conflict) => return chaser.finish(false, Some(conflict)),
-        }
-    }
-    chaser.finish(true, None)
+    let verdict = chaser
+        .bootstrap(ie)
+        .and_then(|()| chaser.run(&grounding.steps, scheduler));
+    let stats = chaser.stats;
+    let outcome = match verdict {
+        Ok(()) => IsCrOutcome::ChurchRosser(instance),
+        Err(conflict) => IsCrOutcome::NotChurchRosser(conflict),
+    };
+    ChaseRun { outcome, stats }
 }
 
 /// The event-driven scheduler of algorithm `IsCR`: O(1) work per event via the

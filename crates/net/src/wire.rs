@@ -1042,6 +1042,9 @@ pub fn epoch_error_of(code: ErrorCode, value: u64) -> Option<EpochError> {
 // framed transport
 // ---------------------------------------------------------------------------
 
+/// Bytes a [`FrameReader`] asks its stream for per read.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Write one encoded frame to a stream and flush it.
 pub fn write_frame(w: &mut impl Write, message: &Message) -> io::Result<()> {
     w.write_all(&message.encode())?;
@@ -1053,14 +1056,14 @@ pub fn write_frame(w: &mut impl Write, message: &Message) -> io::Result<()> {
 /// a frame never loses bytes.  This is what lets a connection handler poll
 /// its socket on a short timeout (to notice shutdown or a half-close)
 /// without corrupting the stream.
-#[derive(Debug)]
+///
+/// The buffer holds only bytes actually received: a length prefix alone
+/// reserves nothing, so a peer that announces a large frame and stalls costs
+/// what it sent, not what it announced.
+#[derive(Debug, Default)]
 pub struct FrameReader {
+    /// Received bytes not yet returned as a frame, length prefix included.
     buf: Vec<u8>,
-    /// Bytes of `buf` that are filled.
-    len: usize,
-    /// The current frame's announced payload length, once the 4-byte prefix
-    /// is complete.
-    expect: Option<usize>,
 }
 
 /// One poll of a [`FrameReader`].
@@ -1074,20 +1077,10 @@ pub enum Poll {
     Closed,
 }
 
-impl Default for FrameReader {
-    fn default() -> Self {
-        FrameReader::new()
-    }
-}
-
 impl FrameReader {
     /// A reader with an empty buffer.
     pub fn new() -> Self {
-        FrameReader {
-            buf: vec![0; 4096],
-            len: 0,
-            expect: None,
-        }
+        FrameReader::default()
     }
 
     /// Try to complete one frame from `r`.  Returns [`Poll::Pending`] when
@@ -1095,42 +1088,30 @@ impl FrameReader {
     /// [`Poll::Closed`] on EOF at a frame boundary.  EOF in the *middle* of
     /// a frame is an error (the peer died mid-send).
     pub fn poll(&mut self, r: &mut impl Read) -> Result<Poll, WireError> {
+        let mut chunk = [0u8; READ_CHUNK];
         loop {
             // complete frame already buffered?
-            if self.expect.is_none() && self.len >= 4 {
-                let announced =
-                    u32::from_le_bytes(self.buf[..4].try_into().expect("sliced 4 bytes"));
+            if let Some(prefix) = self.buf.first_chunk::<4>() {
+                let announced = u32::from_le_bytes(*prefix);
                 if announced > MAX_FRAME {
                     return Err(WireError::Oversized(announced));
                 }
-                let need = announced as usize;
-                if self.buf.len() < 4 + need {
-                    self.buf.resize(4 + need, 0);
-                }
-                self.expect = Some(need);
-            }
-            if let Some(need) = self.expect {
-                if self.len >= 4 + need {
-                    let payload = self.buf[4..4 + need].to_vec();
-                    self.buf.copy_within(4 + need..self.len, 0);
-                    self.len -= 4 + need;
-                    self.expect = None;
+                let end = 4 + announced as usize;
+                if self.buf.len() >= end {
+                    let payload = self.buf[4..end].to_vec();
+                    self.buf.drain(..end);
                     return Ok(Poll::Frame(payload));
                 }
             }
-            // need more bytes
-            if self.len == self.buf.len() {
-                self.buf.resize(self.buf.len() * 2, 0);
-            }
-            match r.read(&mut self.buf[self.len..]) {
+            match r.read(&mut chunk) {
                 Ok(0) => {
-                    return if self.len == 0 {
+                    return if self.buf.is_empty() {
                         Ok(Poll::Closed)
                     } else {
                         Err(WireError::Malformed("EOF mid-frame".into()))
                     };
                 }
-                Ok(n) => self.len += n,
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -1619,6 +1600,29 @@ mod tests {
                 other => panic!("expected an EOF-mid-frame error, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn frame_reader_buffers_only_received_bytes() {
+        // a header announcing the largest legal frame, then silence: the
+        // reader must not reserve the announced 64 MiB up front
+        let mut trickle = Trickle {
+            data: MAX_FRAME.to_le_bytes().to_vec(),
+            pos: 0,
+            ready: false,
+        };
+        let mut reader = FrameReader::new();
+        // one timeout, then one header byte per poll; the fifth poll times
+        // out after the complete header
+        for _ in 0..5 {
+            assert!(matches!(reader.poll(&mut trickle), Ok(Poll::Pending)));
+        }
+        assert_eq!(trickle.pos, 4, "the whole header was read");
+        assert!(
+            reader.buf.capacity() < 64 * 1024,
+            "a bare header made the reader hold {} bytes",
+            reader.buf.capacity()
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! Usage: `bench-gate [--root <dir>]` (the root defaults to the workspace
 //! root this binary was built from).  Unknown `BENCH_*.json` files are only
 //! smoke-checked, so new benches are gated on cleanliness by default and get
-//! floors added here once their first real numbers are committed.
+//! rows in the `GATES` table once their first real numbers are committed.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -157,121 +157,51 @@ fn parse_flat_json(text: &str) -> Result<FlatJson, String> {
     Ok(out)
 }
 
-/// A numeric floor one report must clear.
-struct Floor {
-    field: &'static str,
-    minimum: f64,
+/// The bound one gated field must satisfy.
+#[derive(Clone, Copy)]
+enum Bound {
+    /// A floor: `field ≥ x`.
+    AtLeast(f64),
+    /// A ceiling: `field ≤ x`.
+    AtMost(f64),
 }
 
-/// A numeric ceiling one report must stay under.
-struct Ceiling {
-    field: &'static str,
-    maximum: f64,
-}
+use Bound::{AtLeast, AtMost};
 
-/// The per-report gates.  Unknown reports get only the shared checks.
-fn gates(file_name: &str) -> (Vec<Floor>, Vec<Ceiling>) {
-    match file_name {
-        "BENCH_topk.json" => (
-            vec![Floor {
-                field: "delta_vs_full_speedup",
-                minimum: 3.0,
-            }],
-            vec![],
-        ),
-        "BENCH_incremental.json" => (
-            vec![
-                Floor {
-                    field: "incremental_vs_full_speedup",
-                    minimum: 3.0,
-                },
-                Floor {
-                    field: "entities",
-                    minimum: 1.0,
-                },
-                Floor {
-                    field: "batches",
-                    minimum: 1.0,
-                },
-            ],
-            vec![Ceiling {
-                field: "max_dirty_fraction",
-                maximum: 0.10,
-            }],
-        ),
-        "BENCH_resolve.json" => (
-            vec![
-                Floor {
-                    field: "resolve_speedup",
-                    minimum: 3.0,
-                },
-                Floor {
-                    field: "pruned_fraction",
-                    minimum: 0.5,
-                },
-                Floor {
-                    field: "pairs",
-                    minimum: 1.0,
-                },
-            ],
-            vec![Ceiling {
-                field: "pruned_fraction",
-                maximum: 1.0,
-            }],
-        ),
-        "BENCH_serve.json" => (
-            vec![
-                Floor {
-                    field: "read_vs_snapshot_speedup",
-                    minimum: 10.0,
-                },
-                Floor {
-                    field: "entities",
-                    minimum: 1.0,
-                },
-                Floor {
-                    field: "batches",
-                    minimum: 1.0,
-                },
-                Floor {
-                    field: "reads",
-                    minimum: 1.0,
-                },
-            ],
-            vec![],
-        ),
-        "BENCH_net.json" => (
-            vec![
-                // a deliberately generous absolute floor: loopback TCP point
-                // reads run ~10k/s on any hardware, so tripping 100/s means a
-                // transport bug (a lost flush waiting out a socket timeout),
-                // not a slow machine
-                Floor {
-                    field: "tcp_reads_per_sec",
-                    minimum: 100.0,
-                },
-                Floor {
-                    field: "entities",
-                    minimum: 1.0,
-                },
-                Floor {
-                    field: "batches",
-                    minimum: 1.0,
-                },
-                Floor {
-                    field: "reads",
-                    minimum: 1.0,
-                },
-            ],
-            // every TCP answer must be bit-identical to its in-process twin
-            vec![Ceiling {
-                field: "mismatches",
-                maximum: 0.0,
-            }],
-        ),
-        _ => (vec![], vec![]),
-    }
-}
+/// Every gate, one `(report file, field, bound)` row each.  Reports with no
+/// row get only the shared checks.
+const GATES: &[(&str, &str, Bound)] = &[
+    ("BENCH_topk.json", "delta_vs_full_speedup", AtLeast(3.0)),
+    (
+        "BENCH_incremental.json",
+        "incremental_vs_full_speedup",
+        AtLeast(3.0),
+    ),
+    ("BENCH_incremental.json", "entities", AtLeast(1.0)),
+    ("BENCH_incremental.json", "batches", AtLeast(1.0)),
+    ("BENCH_incremental.json", "max_dirty_fraction", AtMost(0.10)),
+    ("BENCH_resolve.json", "resolve_speedup", AtLeast(3.0)),
+    ("BENCH_resolve.json", "pruned_fraction", AtLeast(0.5)),
+    ("BENCH_resolve.json", "pairs", AtLeast(1.0)),
+    ("BENCH_resolve.json", "pruned_fraction", AtMost(1.0)),
+    (
+        "BENCH_serve.json",
+        "read_vs_snapshot_speedup",
+        AtLeast(10.0),
+    ),
+    ("BENCH_serve.json", "entities", AtLeast(1.0)),
+    ("BENCH_serve.json", "batches", AtLeast(1.0)),
+    ("BENCH_serve.json", "reads", AtLeast(1.0)),
+    // a deliberately generous absolute floor: loopback TCP point reads run
+    // ~10k/s on any hardware, so tripping 100/s means a transport bug (a
+    // lost flush waiting out a socket timeout), not a slow machine
+    ("BENCH_net.json", "tcp_reads_per_sec", AtLeast(100.0)),
+    ("BENCH_net.json", "entities", AtLeast(1.0)),
+    ("BENCH_net.json", "batches", AtLeast(1.0)),
+    ("BENCH_net.json", "reads", AtLeast(1.0)),
+    // every TCP answer must be bit-identical to its in-process twin
+    ("BENCH_net.json", "mismatches", AtMost(0.0)),
+];
 
 /// Check one report; returns the violations found.
 fn check_report(file_name: &str, text: &str) -> Vec<String> {
@@ -300,31 +230,21 @@ fn check_report(file_name: &str, text: &str) -> Vec<String> {
             }
         }
     }
-    let (floors, ceilings) = gates(file_name);
-    for floor in floors {
-        match report.number(floor.field) {
-            Some(n) if n >= floor.minimum => {}
-            Some(n) => violations.push(format!(
-                "{file_name}: {} regressed below its floor: {n} < {}",
-                floor.field, floor.minimum
+    for &(_, field, bound) in GATES.iter().filter(|(file, ..)| *file == file_name) {
+        let Some(n) = report.number(field) else {
+            violations.push(format!(
+                "{file_name}: gated field {field:?} is missing or non-numeric"
+            ));
+            continue;
+        };
+        match bound {
+            AtLeast(minimum) if n < minimum => violations.push(format!(
+                "{file_name}: {field} regressed below its floor: {n} < {minimum}"
             )),
-            None => violations.push(format!(
-                "{file_name}: gated field {:?} is missing or non-numeric",
-                floor.field
+            AtMost(maximum) if n > maximum => violations.push(format!(
+                "{file_name}: {field} exceeds its ceiling: {n} > {maximum}"
             )),
-        }
-    }
-    for ceiling in ceilings {
-        match report.number(ceiling.field) {
-            Some(n) if n <= ceiling.maximum => {}
-            Some(n) => violations.push(format!(
-                "{file_name}: {} exceeds its ceiling: {n} > {}",
-                ceiling.field, ceiling.maximum
-            )),
-            None => violations.push(format!(
-                "{file_name}: gated field {:?} is missing or non-numeric",
-                ceiling.field
-            )),
+            _ => {}
         }
     }
     violations
