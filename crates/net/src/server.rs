@@ -24,7 +24,7 @@
 
 use crate::wire::{
     epoch_error_message, write_frame, ErrorCode, FrameReader, Message, Poll, WireError,
-    PROTOCOL_VERSION,
+    MAX_REQUEST, PROTOCOL_VERSION,
 };
 use relacc_serve::Server;
 use std::io;
@@ -160,15 +160,6 @@ fn accept_loop(
 /// hub.
 const FEED_PROBE: Duration = Duration::from_millis(1);
 
-/// Handler-side connection outcomes that end the session without being
-/// transport failures.
-enum SessionEnd {
-    /// The client half-closed (or closed) the connection.
-    Closed,
-    /// The server is shutting down.
-    Stopping,
-}
-
 fn handle_connection(
     stream: TcpStream,
     server: &Server,
@@ -178,7 +169,9 @@ fn handle_connection(
     stream.set_read_timeout(Some(options.read_timeout))?;
     stream.set_write_timeout(Some(options.write_timeout))?;
     stream.set_nodelay(true)?;
-    let mut reader = FrameReader::new();
+    // the server only reads requests, so it refuses any larger frame at
+    // its length prefix
+    let mut reader = FrameReader::with_limit(MAX_REQUEST);
     let mut read_half = stream.try_clone()?;
     let mut write_half = stream.try_clone()?;
 
@@ -190,27 +183,23 @@ fn handle_connection(
         options,
         stop,
     );
-    let _ = stream.shutdown(Shutdown::Both);
-    match end {
-        Ok(SessionEnd::Closed | SessionEnd::Stopping) => Ok(()),
-        Err(e) => {
-            // best-effort diagnostic for protocol errors; transport errors
-            // mean the peer is gone and nobody is listening
-            if let WireError::Malformed(_) | WireError::UnknownType(_) | WireError::Oversized(_) =
-                &e
-            {
-                let _ = write_frame(
-                    &mut write_half,
-                    &Message::Error {
-                        code: ErrorCode::Malformed,
-                        value: 0,
-                        detail: e.to_string(),
-                    },
-                );
-            }
-            Err(e)
-        }
+    // best-effort diagnostic for protocol errors, written before the
+    // shutdown; transport errors mean the peer is gone and nobody listens
+    if let Err(
+        e @ (WireError::Malformed(_) | WireError::UnknownType(_) | WireError::Oversized(_)),
+    ) = &end
+    {
+        let _ = write_frame(
+            &mut write_half,
+            &Message::Error {
+                code: ErrorCode::Malformed,
+                value: 0,
+                detail: e.to_string(),
+            },
+        );
     }
+    let _ = stream.shutdown(Shutdown::Both);
+    end
 }
 
 /// Block until the next complete frame, tolerating read-timeout ticks.
@@ -239,17 +228,10 @@ fn session(
     server: &Server,
     options: &ServeOptions,
     stop: &AtomicBool,
-) -> Result<SessionEnd, WireError> {
+) -> Result<(), WireError> {
     // --- handshake -------------------------------------------------------
-    let hello = match next_frame(reader, read_half, stop)? {
-        Some(m) => m,
-        None => {
-            return Ok(if stop.load(Ordering::SeqCst) {
-                SessionEnd::Stopping
-            } else {
-                SessionEnd::Closed
-            });
-        }
+    let Some(hello) = next_frame(reader, read_half, stop)? else {
+        return Ok(());
     };
     match hello {
         Message::Hello { version } if version == PROTOCOL_VERSION => {}
@@ -264,7 +246,7 @@ fn session(
                     ),
                 },
             )?;
-            return Ok(SessionEnd::Closed);
+            return Ok(());
         }
         other => {
             return Err(WireError::Malformed(format!(
@@ -283,15 +265,8 @@ fn session(
 
     // --- request/response ------------------------------------------------
     loop {
-        let request = match next_frame(reader, read_half, stop)? {
-            Some(m) => m,
-            None => {
-                return Ok(if stop.load(Ordering::SeqCst) {
-                    SessionEnd::Stopping
-                } else {
-                    SessionEnd::Closed
-                });
-            }
+        let Some(request) = next_frame(reader, read_half, stop)? else {
+            return Ok(());
         };
         let response = match request {
             Message::Pin => {
@@ -351,7 +326,7 @@ fn feed(
     server: &Server,
     options: &ServeOptions,
     stop: &AtomicBool,
-) -> Result<SessionEnd, WireError> {
+) -> Result<(), WireError> {
     let mut subscription = server.subscribe();
     write_frame(
         write_half,
@@ -372,10 +347,10 @@ fn feed(
         }
         // then notice shutdown, half-close and stray frames
         if stop.load(Ordering::SeqCst) {
-            return Ok(SessionEnd::Stopping);
+            return Ok(());
         }
         match reader.poll(read_half)? {
-            Poll::Closed => return Ok(SessionEnd::Closed),
+            Poll::Closed => return Ok(()),
             Poll::Pending => {}
             Poll::Frame(_) => {
                 return Err(WireError::Malformed(

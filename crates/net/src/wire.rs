@@ -15,19 +15,24 @@
 //! by UTF-8 bytes, options are a `0`/`1` presence byte, and sequences are a
 //! varint count followed by the elements.
 //!
-//! The codec is symmetric: [`Message::encode`] produces exactly the bytes
-//! [`Message::decode`] consumes, property- and vector-tested below.
+//! Each type of PROTOCOL.md §5 has one impl of the private `Wire` trait,
+//! whose `put` and `get` sit side by side, and the structs among them list
+//! their fields once, in §5's order, for both halves.  [`Message::encode`]
+//! and [`Message::decode`] call those impls, and the unit tests pin every
+//! message type to fixed bytes.
 
 use relacc_core::{ChaseStats, Conflict};
 use relacc_engine::{
     BlockChange, BlockView, EntityOutcome, EntityResult, EntityView, EpochError, EpochId,
     SnapshotDelta,
 };
-use relacc_model::{AttrId, DataType, Schema, SchemaRef, TargetTuple, Tuple, Value};
+use relacc_model::{AttrId, Attribute, DataType, Schema, SchemaRef, TargetTuple, Tuple, Value};
 use relacc_resolve::{BlockKey, MatchDecision, PruneStage, ResolveStats};
 use relacc_serve::{ChangeBatch, EntityChange, EntityChangeKind};
 use relacc_store::{Generation, RowId};
+use std::collections::HashSet;
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 /// The protocol version this build speaks.  A server receiving a `Hello`
 /// with a different version answers [`Message::Error`] with
@@ -40,6 +45,11 @@ pub const MAGIC: [u8; 4] = *b"RLAC";
 /// Hard ceiling on one frame's payload size (64 MiB).  A peer announcing a
 /// larger frame is malformed (or hostile) and the connection is dropped.
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
+
+/// The largest request payload a server accepts (1 KiB).  The largest
+/// request is 21 bytes, so a larger announcement is refused as soon as its
+/// length prefix arrives, before and after the handshake.
+pub(crate) const MAX_REQUEST: u32 = 1024;
 
 /// Message type tags, one per [`Message`] variant.  The numeric values are
 /// wire format: they may never be reused or renumbered within a protocol
@@ -79,29 +89,6 @@ pub enum MsgType {
     Feed = 0x25,
 }
 
-impl MsgType {
-    fn of(byte: u8) -> Result<MsgType, WireError> {
-        Ok(match byte {
-            0x01 => MsgType::Hello,
-            0x02 => MsgType::HelloOk,
-            0x03 => MsgType::Error,
-            0x10 => MsgType::Pin,
-            0x11 => MsgType::PinAt,
-            0x12 => MsgType::RepairedRow,
-            0x13 => MsgType::EntityResult,
-            0x14 => MsgType::ChangesSince,
-            0x15 => MsgType::Subscribe,
-            0x20 => MsgType::EpochRef,
-            0x21 => MsgType::RowReply,
-            0x22 => MsgType::EntityReply,
-            0x23 => MsgType::Delta,
-            0x24 => MsgType::SubOk,
-            0x25 => MsgType::Feed,
-            other => return Err(WireError::UnknownType(other)),
-        })
-    }
-}
-
 /// Error codes carried by [`Message::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -117,18 +104,6 @@ pub enum ErrorCode {
     VersionMismatch = 3,
     /// The peer sent a frame the server could not parse or did not expect.
     Malformed = 4,
-}
-
-impl ErrorCode {
-    fn of(byte: u8) -> Result<ErrorCode, WireError> {
-        Ok(match byte {
-            1 => ErrorCode::Evicted,
-            2 => ErrorCode::Unknown,
-            3 => ErrorCode::VersionMismatch,
-            4 => ErrorCode::Malformed,
-            other => return Err(WireError::Malformed(format!("error code {other}"))),
-        })
-    }
 }
 
 /// A decoded protocol message — request, response or pushed feed batch.
@@ -236,7 +211,8 @@ pub enum Message {
 pub enum WireError {
     /// The underlying transport failed.
     Io(io::Error),
-    /// A frame announced a payload larger than [`MAX_FRAME`].
+    /// A frame announced a payload larger than the reader accepts
+    /// ([`MAX_FRAME`], or a server's smaller request limit).
     Oversized(u32),
     /// An unknown message-type byte.
     UnknownType(u8),
@@ -248,7 +224,7 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::Io(e) => write!(f, "transport: {e}"),
-            WireError::Oversized(n) => write!(f, "frame of {n} bytes exceeds MAX_FRAME"),
+            WireError::Oversized(n) => write!(f, "frame of {n} bytes exceeds the frame limit"),
             WireError::UnknownType(t) => write!(f, "unknown message type 0x{t:02x}"),
             WireError::Malformed(d) => write!(f, "malformed payload: {d}"),
         }
@@ -264,7 +240,7 @@ impl From<io::Error> for WireError {
 }
 
 // ---------------------------------------------------------------------------
-// primitive encoders
+// primitives
 // ---------------------------------------------------------------------------
 
 /// Append an unsigned LEB128 varint.
@@ -286,249 +262,21 @@ pub fn put_zigzag(out: &mut Vec<u8>, v: i64) {
     put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
+fn put_str(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            put_bool(out, *b);
-        }
-        Value::Int(i) => {
-            out.push(2);
-            put_zigzag(out, *i);
-        }
-        Value::Float(x) => {
-            out.push(3);
-            put_f64(out, *x);
-        }
-        Value::Str(s) => {
-            out.push(4);
-            put_string(out, s);
-        }
+fn put_seq<T: Wire>(out: &mut Vec<u8>, items: &[T]) {
+    put_varint(out, items.len() as u64);
+    for item in items {
+        item.put(out);
     }
 }
 
-fn put_values(out: &mut Vec<u8>, values: &[Value]) {
-    put_varint(out, values.len() as u64);
-    for v in values {
-        put_value(out, v);
-    }
-}
-
-fn put_opt_values(out: &mut Vec<u8>, values: &Option<Vec<Value>>) {
-    match values {
-        None => out.push(0),
-        Some(vs) => {
-            out.push(1);
-            put_values(out, vs);
-        }
-    }
-}
-
-fn put_block_key(out: &mut Vec<u8>, key: &BlockKey) {
-    match key {
-        BlockKey::Key(s) => {
-            out.push(0);
-            put_string(out, s);
-        }
-        BlockKey::Singleton(id) => {
-            out.push(1);
-            put_varint(out, id.0);
-        }
-    }
-}
-
-fn put_chase_stats(out: &mut Vec<u8>, s: &ChaseStats) {
-    for n in [
-        s.ground_steps,
-        s.pairs_considered,
-        s.steps_considered,
-        s.steps_applied,
-        s.noop_steps,
-        s.order_pairs_added,
-        s.target_assignments,
-        s.full_checks,
-        s.delta_checks,
-        s.delta_steps_replayed,
-    ] {
-        put_varint(out, n as u64);
-    }
-}
-
-fn put_entity_result(out: &mut Vec<u8>, r: &EntityResult) {
-    put_varint(out, r.entity as u64);
-    put_varint(out, r.records.len() as u64);
-    for &rec in &r.records {
-        put_varint(out, rec as u64);
-    }
-    out.push(match r.outcome {
-        EntityOutcome::Complete => 0,
-        EntityOutcome::Suggested => 1,
-        EntityOutcome::NeedsUser => 2,
-        EntityOutcome::NotChurchRosser => 3,
-    });
-    put_values(out, r.deduced.values());
-    match &r.suggestion {
-        None => out.push(0),
-        Some(t) => {
-            out.push(1);
-            put_values(out, t.values());
-        }
-    }
-    match &r.suggestion_error {
-        None => out.push(0),
-        Some(e) => {
-            out.push(1);
-            put_string(out, e);
-        }
-    }
-    match &r.conflict {
-        None => out.push(0),
-        Some(c) => {
-            out.push(1);
-            put_string(out, &c.rule);
-            put_varint(out, c.attr.0 as u64);
-            put_string(out, &c.detail);
-        }
-    }
-    put_chase_stats(out, &r.stats);
-}
-
-fn put_entity_view(out: &mut Vec<u8>, e: &EntityView) {
-    put_varint(out, e.records.len() as u64);
-    for r in &e.records {
-        put_varint(out, r.0);
-    }
-    put_opt_values(out, &e.repaired);
-    put_entity_result(out, &e.result);
-}
-
-fn put_opt_entity_view(out: &mut Vec<u8>, e: &Option<EntityView>) {
-    match e {
-        None => out.push(0),
-        Some(view) => {
-            out.push(1);
-            put_entity_view(out, view);
-        }
-    }
-}
-
-fn put_resolve_stats(out: &mut Vec<u8>, s: &ResolveStats) {
-    for n in [
-        s.pairs_considered,
-        s.pruned_by_length,
-        s.pruned_by_fingerprint,
-        s.dp_runs,
-    ] {
-        put_varint(out, n as u64);
-    }
-}
-
-fn put_decision(out: &mut Vec<u8>, d: &MatchDecision) {
-    put_varint(out, d.left as u64);
-    put_varint(out, d.right as u64);
-    put_f64(out, d.similarity);
-    put_bool(out, d.matched);
-    out.push(match d.pruned {
-        None => 0,
-        Some(PruneStage::Length) => 1,
-        Some(PruneStage::Fingerprint) => 2,
-    });
-}
-
-fn put_block_view(out: &mut Vec<u8>, b: &BlockView) {
-    put_block_key(out, &b.key);
-    put_varint(out, b.rows.len() as u64);
-    for (id, tuple) in &b.rows {
-        put_varint(out, id.0);
-        put_values(out, tuple.values());
-    }
-    put_varint(out, b.decisions.len() as u64);
-    for d in &b.decisions {
-        put_decision(out, d);
-    }
-    put_varint(out, b.entities.len() as u64);
-    for e in &b.entities {
-        put_entity_view(out, e);
-    }
-    put_resolve_stats(out, &b.stats);
-}
-
-fn put_delta(out: &mut Vec<u8>, d: &SnapshotDelta) {
-    put_varint(out, d.from.0);
-    put_varint(out, d.from_epoch.0);
-    put_varint(out, d.to.0);
-    put_varint(out, d.to_epoch.0);
-    put_varint(out, d.changes.len() as u64);
-    for change in &d.changes {
-        put_block_key(out, &change.key);
-        match &change.after {
-            None => out.push(0),
-            Some(view) => {
-                out.push(1);
-                put_block_view(out, view);
-            }
-        }
-    }
-}
-
-fn put_change_batch(out: &mut Vec<u8>, b: &ChangeBatch) {
-    put_varint(out, b.from.0);
-    put_varint(out, b.from_epoch.0);
-    put_varint(out, b.to.0);
-    put_varint(out, b.to_epoch.0);
-    put_bool(out, b.resync);
-    put_varint(out, b.changes.len() as u64);
-    for change in &b.changes {
-        put_block_key(out, &change.block);
-        match &change.kind {
-            EntityChangeKind::Upserted(view) => {
-                out.push(0);
-                put_entity_view(out, view);
-            }
-            EntityChangeKind::Removed { records } => {
-                out.push(1);
-                put_varint(out, records.len() as u64);
-                for r in records {
-                    put_varint(out, r.0);
-                }
-            }
-        }
-    }
-}
-
-fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
-    put_string(out, schema.name());
-    put_varint(out, schema.arity() as u64);
-    for attr in schema.attributes() {
-        put_string(out, &attr.name);
-        out.push(match attr.ty {
-            DataType::Bool => 0,
-            DataType::Int => 1,
-            DataType::Float => 2,
-            DataType::Text => 3,
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// primitive decoders
-// ---------------------------------------------------------------------------
-
-/// A cursor over one frame's payload bytes.
+/// A cursor over one frame's payload bytes.  It reads the primitives of
+/// PROTOCOL.md §1 and enforces their bounds; the composite types are
+/// `Wire` impls built on it.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -608,255 +356,13 @@ impl<'a> Reader<'a> {
             .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
     }
 
-    fn f64(&mut self) -> Result<f64, WireError> {
-        let bytes = self.bytes(8)?;
-        Ok(f64::from_bits(u64::from_le_bytes(
-            bytes.try_into().expect("sliced 8 bytes"),
-        )))
-    }
-
-    fn bool(&mut self) -> Result<bool, WireError> {
+    /// A tag byte, which must be below `n` (so a match on it may end in
+    /// `_`); any other byte is malformed, reported as `"{what} {byte}"`.
+    fn tag(&mut self, what: &str, n: u8) -> Result<u8, WireError> {
         match self.byte()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(WireError::Malformed(format!("bool byte {other}"))),
+            b if b < n => Ok(b),
+            other => Err(WireError::Malformed(format!("{what} {other}"))),
         }
-    }
-
-    fn value(&mut self) -> Result<Value, WireError> {
-        Ok(match self.byte()? {
-            0 => Value::Null,
-            1 => Value::Bool(self.bool()?),
-            2 => Value::Int(self.zigzag()?),
-            3 => Value::Float(self.f64()?),
-            4 => Value::Str(self.string()?.into()),
-            other => return Err(WireError::Malformed(format!("value tag {other}"))),
-        })
-    }
-
-    fn values(&mut self) -> Result<Vec<Value>, WireError> {
-        let n = self.count()?;
-        (0..n).map(|_| self.value()).collect()
-    }
-
-    fn opt_values(&mut self) -> Result<Option<Vec<Value>>, WireError> {
-        Ok(match self.byte()? {
-            0 => None,
-            1 => Some(self.values()?),
-            other => return Err(WireError::Malformed(format!("option byte {other}"))),
-        })
-    }
-
-    fn block_key(&mut self) -> Result<BlockKey, WireError> {
-        Ok(match self.byte()? {
-            0 => BlockKey::Key(self.string()?),
-            1 => BlockKey::Singleton(RowId(self.varint()?)),
-            other => return Err(WireError::Malformed(format!("block-key tag {other}"))),
-        })
-    }
-
-    fn row_ids(&mut self) -> Result<Vec<RowId>, WireError> {
-        let n = self.count()?;
-        (0..n).map(|_| Ok(RowId(self.varint()?))).collect()
-    }
-
-    fn chase_stats(&mut self) -> Result<ChaseStats, WireError> {
-        Ok(ChaseStats {
-            ground_steps: self.usize()?,
-            pairs_considered: self.usize()?,
-            steps_considered: self.usize()?,
-            steps_applied: self.usize()?,
-            noop_steps: self.usize()?,
-            order_pairs_added: self.usize()?,
-            target_assignments: self.usize()?,
-            full_checks: self.usize()?,
-            delta_checks: self.usize()?,
-            delta_steps_replayed: self.usize()?,
-        })
-    }
-
-    fn entity_result(&mut self) -> Result<EntityResult, WireError> {
-        let entity = self.usize()?;
-        let n = self.count()?;
-        let records = (0..n)
-            .map(|_| self.usize())
-            .collect::<Result<Vec<_>, _>>()?;
-        let outcome = match self.byte()? {
-            0 => EntityOutcome::Complete,
-            1 => EntityOutcome::Suggested,
-            2 => EntityOutcome::NeedsUser,
-            3 => EntityOutcome::NotChurchRosser,
-            other => return Err(WireError::Malformed(format!("outcome tag {other}"))),
-        };
-        let deduced = TargetTuple::from_values(self.values()?);
-        let suggestion = match self.byte()? {
-            0 => None,
-            1 => Some(TargetTuple::from_values(self.values()?)),
-            other => return Err(WireError::Malformed(format!("option byte {other}"))),
-        };
-        let suggestion_error = match self.byte()? {
-            0 => None,
-            1 => Some(self.string()?),
-            other => return Err(WireError::Malformed(format!("option byte {other}"))),
-        };
-        let conflict = match self.byte()? {
-            0 => None,
-            1 => Some(Conflict {
-                rule: self.string()?,
-                attr: AttrId(self.usize()?),
-                detail: self.string()?,
-            }),
-            other => return Err(WireError::Malformed(format!("option byte {other}"))),
-        };
-        let stats = self.chase_stats()?;
-        Ok(EntityResult {
-            entity,
-            records,
-            outcome,
-            deduced,
-            suggestion,
-            suggestion_error,
-            conflict,
-            stats,
-        })
-    }
-
-    fn entity_view(&mut self) -> Result<EntityView, WireError> {
-        Ok(EntityView {
-            records: self.row_ids()?,
-            repaired: self.opt_values()?,
-            result: self.entity_result()?,
-        })
-    }
-
-    fn opt_entity_view(&mut self) -> Result<Option<EntityView>, WireError> {
-        Ok(match self.byte()? {
-            0 => None,
-            1 => Some(self.entity_view()?),
-            other => return Err(WireError::Malformed(format!("option byte {other}"))),
-        })
-    }
-
-    fn resolve_stats(&mut self) -> Result<ResolveStats, WireError> {
-        Ok(ResolveStats {
-            pairs_considered: self.usize()?,
-            pruned_by_length: self.usize()?,
-            pruned_by_fingerprint: self.usize()?,
-            dp_runs: self.usize()?,
-        })
-    }
-
-    fn decision(&mut self) -> Result<MatchDecision, WireError> {
-        Ok(MatchDecision {
-            left: self.usize()?,
-            right: self.usize()?,
-            similarity: self.f64()?,
-            matched: self.bool()?,
-            pruned: match self.byte()? {
-                0 => None,
-                1 => Some(PruneStage::Length),
-                2 => Some(PruneStage::Fingerprint),
-                other => return Err(WireError::Malformed(format!("prune tag {other}"))),
-            },
-        })
-    }
-
-    fn block_view(&mut self) -> Result<BlockView, WireError> {
-        let key = self.block_key()?;
-        let n = self.count()?;
-        let rows = (0..n)
-            .map(|_| Ok((RowId(self.varint()?), Tuple::new(self.values()?))))
-            .collect::<Result<Vec<_>, WireError>>()?;
-        let n = self.count()?;
-        let decisions = (0..n)
-            .map(|_| self.decision())
-            .collect::<Result<Vec<_>, _>>()?;
-        let n = self.count()?;
-        let entities = (0..n)
-            .map(|_| self.entity_view())
-            .collect::<Result<Vec<_>, _>>()?;
-        let stats = self.resolve_stats()?;
-        Ok(BlockView {
-            key,
-            rows,
-            decisions,
-            entities,
-            stats,
-        })
-    }
-
-    fn delta(&mut self) -> Result<SnapshotDelta, WireError> {
-        let from = Generation(self.varint()?);
-        let from_epoch = EpochId(self.varint()?);
-        let to = Generation(self.varint()?);
-        let to_epoch = EpochId(self.varint()?);
-        let n = self.count()?;
-        let changes = (0..n)
-            .map(|_| {
-                let key = self.block_key()?;
-                let after = match self.byte()? {
-                    0 => None,
-                    1 => Some(self.block_view()?),
-                    other => return Err(WireError::Malformed(format!("option byte {other}"))),
-                };
-                Ok(BlockChange { key, after })
-            })
-            .collect::<Result<Vec<_>, WireError>>()?;
-        Ok(SnapshotDelta {
-            from,
-            from_epoch,
-            to,
-            to_epoch,
-            changes,
-        })
-    }
-
-    fn change_batch(&mut self) -> Result<ChangeBatch, WireError> {
-        let from = Generation(self.varint()?);
-        let from_epoch = EpochId(self.varint()?);
-        let to = Generation(self.varint()?);
-        let to_epoch = EpochId(self.varint()?);
-        let resync = self.bool()?;
-        let n = self.count()?;
-        let changes = (0..n)
-            .map(|_| {
-                let block = self.block_key()?;
-                let kind = match self.byte()? {
-                    0 => EntityChangeKind::Upserted(Box::new(self.entity_view()?)),
-                    1 => EntityChangeKind::Removed {
-                        records: self.row_ids()?,
-                    },
-                    other => return Err(WireError::Malformed(format!("change tag {other}"))),
-                };
-                Ok(EntityChange { block, kind })
-            })
-            .collect::<Result<Vec<_>, WireError>>()?;
-        Ok(ChangeBatch {
-            from,
-            from_epoch,
-            to,
-            to_epoch,
-            resync,
-            changes,
-        })
-    }
-
-    fn schema(&mut self) -> Result<SchemaRef, WireError> {
-        let name = self.string()?;
-        let n = self.count()?;
-        let mut builder = Schema::builder(name);
-        for _ in 0..n {
-            let attr = self.string()?;
-            let ty = match self.byte()? {
-                0 => DataType::Bool,
-                1 => DataType::Int,
-                2 => DataType::Float,
-                3 => DataType::Text,
-                other => return Err(WireError::Malformed(format!("data-type tag {other}"))),
-            };
-            builder = builder.attr(attr, ty);
-        }
-        Ok(builder.build())
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -870,146 +376,444 @@ impl<'a> Reader<'a> {
     }
 }
 
-impl Message {
-    /// The message's wire type tag.
-    pub fn msg_type(&self) -> MsgType {
+// ---------------------------------------------------------------------------
+// the types of PROTOCOL.md §5, one layout each
+// ---------------------------------------------------------------------------
+
+/// A type with a wire layout: `put` appends it and `get` reads it back, so
+/// both halves of a layout are written in one place.
+trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+impl Wire for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, *self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.varint()
+    }
+}
+
+impl Wire for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, *self as u64);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.usize()
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(r.tag("bool byte", 2)? == 1)
+    }
+}
+
+impl Wire for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let bytes = r.bytes(8)?.try_into().expect("sliced 8 bytes");
+        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
+    }
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(out, self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.string()
+    }
+}
+
+/// The id newtypes travel as the integer they wrap.
+macro_rules! wire_newtype {
+    ($($ty:ident($inner:ty)),+) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                self.0.put(out);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                <$inner>::get(r).map($ty)
+            }
+        }
+    )+};
+}
+
+wire_newtype!(RowId(u64), Generation(u64), EpochId(u64), AttrId(usize));
+
+/// `seq<T>`: a count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(out, self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = r.count()?;
+        (0..n).map(|_| T::get(r)).collect()
+    }
+}
+
+/// `option<T>`: a presence byte, then the value when present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
         match self {
-            Message::Hello { .. } => MsgType::Hello,
-            Message::HelloOk { .. } => MsgType::HelloOk,
-            Message::Error { .. } => MsgType::Error,
-            Message::Pin => MsgType::Pin,
-            Message::PinAt { .. } => MsgType::PinAt,
-            Message::RepairedRow { .. } => MsgType::RepairedRow,
-            Message::EntityResult { .. } => MsgType::EntityResult,
-            Message::ChangesSince { .. } => MsgType::ChangesSince,
-            Message::Subscribe => MsgType::Subscribe,
-            Message::EpochRef { .. } => MsgType::EpochRef,
-            Message::RowReply { .. } => MsgType::RowReply,
-            Message::EntityReply { .. } => MsgType::EntityReply,
-            Message::Delta { .. } => MsgType::Delta,
-            Message::SubOk { .. } => MsgType::SubOk,
-            Message::Feed { .. } => MsgType::Feed,
+            None => out.push(0),
+            Some(v) => {
+                out.push(1);
+                v.put(out);
+            }
         }
     }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.tag("option byte", 2)? {
+            0 => None,
+            _ => Some(T::get(r)?),
+        })
+    }
+}
 
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (**self).put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        T::get(r).map(Box::new)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// Values are the bulk of every reply: both halves are inlined into the
+/// `seq` loops, as the per-value codec was before the `Wire` impls.
+impl Wire for Value {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Value::Null => out.push(0),
+            Value::Bool(b) => {
+                out.push(1);
+                b.put(out);
+            }
+            Value::Int(i) => {
+                out.push(2);
+                put_zigzag(out, *i);
+            }
+            Value::Float(x) => {
+                out.push(3);
+                x.put(out);
+            }
+            Value::Str(s) => {
+                out.push(4);
+                put_str(out, s);
+            }
+        }
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.tag("value tag", 5)? {
+            0 => Value::Null,
+            1 => Value::Bool(bool::get(r)?),
+            2 => Value::Int(r.zigzag()?),
+            3 => Value::Float(f64::get(r)?),
+            _ => Value::Str(r.string()?.into()),
+        })
+    }
+}
+
+/// A tuple travels as `seq<Value>`.
+impl Wire for Tuple {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(out, self.values());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Vec::get(r).map(Tuple::new)
+    }
+}
+
+/// A target tuple travels as `seq<Value>`.
+impl Wire for TargetTuple {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(out, self.values());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Vec::get(r).map(TargetTuple::from_values)
+    }
+}
+
+impl Wire for BlockKey {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            BlockKey::Key(s) => {
+                out.push(0);
+                s.put(out);
+            }
+            BlockKey::Singleton(id) => {
+                out.push(1);
+                id.put(out);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.tag("block-key tag", 2)? {
+            0 => BlockKey::Key(String::get(r)?),
+            _ => BlockKey::Singleton(RowId::get(r)?),
+        })
+    }
+}
+
+impl Wire for EntityOutcome {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            EntityOutcome::Complete => 0,
+            EntityOutcome::Suggested => 1,
+            EntityOutcome::NeedsUser => 2,
+            EntityOutcome::NotChurchRosser => 3,
+        });
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.tag("outcome tag", 4)? {
+            0 => EntityOutcome::Complete,
+            1 => EntityOutcome::Suggested,
+            2 => EntityOutcome::NeedsUser,
+            _ => EntityOutcome::NotChurchRosser,
+        })
+    }
+}
+
+/// A match decision's prune stage is one byte, `00` for a pair that was
+/// not pruned, rather than an `option` of a stage.
+impl Wire for Option<PruneStage> {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            None => 0,
+            Some(PruneStage::Length) => 1,
+            Some(PruneStage::Fingerprint) => 2,
+        });
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.tag("prune tag", 3)? {
+            0 => None,
+            1 => Some(PruneStage::Length),
+            _ => Some(PruneStage::Fingerprint),
+        })
+    }
+}
+
+impl Wire for EntityChangeKind {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            EntityChangeKind::Upserted(view) => {
+                out.push(0);
+                view.put(out);
+            }
+            EntityChangeKind::Removed { records } => {
+                out.push(1);
+                records.put(out);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.tag("change tag", 2)? {
+            0 => EntityChangeKind::Upserted(Box::get(r)?),
+            _ => EntityChangeKind::Removed {
+                records: Vec::get(r)?,
+            },
+        })
+    }
+}
+
+impl Wire for DataType {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            DataType::Bool => 0,
+            DataType::Int => 1,
+            DataType::Float => 2,
+            DataType::Text => 3,
+        });
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.tag("data-type tag", 4)? {
+            0 => DataType::Bool,
+            1 => DataType::Int,
+            2 => DataType::Float,
+            _ => DataType::Text,
+        })
+    }
+}
+
+/// A schema's attribute names are distinct: a repeated name is malformed.
+impl Wire for SchemaRef {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(out, self.name());
+        put_seq(out, self.attributes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let name = r.string()?;
+        let attrs = Vec::<Attribute>::get(r)?;
+        let mut names = HashSet::with_capacity(attrs.len());
+        if let Some(repeated) = attrs.iter().find(|a| !names.insert(a.name.as_str())) {
+            return Err(WireError::Malformed(format!(
+                "repeated attribute name {:?}",
+                repeated.name
+            )));
+        }
+        Ok(Arc::new(Schema::new(name, attrs)))
+    }
+}
+
+/// Both halves of a struct's layout from one field list: the fields travel
+/// in the listed order, which is PROTOCOL.md §5's.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),+ })+) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)+
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok($ty { $($field: Wire::get(r)?),+ })
+            }
+        }
+    )+};
+}
+
+wire_struct! {
+    Attribute { name, ty }
+    ChaseStats {
+        ground_steps, pairs_considered, steps_considered, steps_applied, noop_steps,
+        order_pairs_added, target_assignments, full_checks, delta_checks, delta_steps_replayed
+    }
+    Conflict { rule, attr, detail }
+    EntityResult {
+        entity, records, outcome, deduced, suggestion, suggestion_error, conflict, stats
+    }
+    EntityView { records, repaired, result }
+    MatchDecision { left, right, similarity, matched, pruned }
+    ResolveStats { pairs_considered, pruned_by_length, pruned_by_fingerprint, dp_runs }
+    BlockView { key, rows, decisions, entities, stats }
+    BlockChange { key, after }
+    SnapshotDelta { from, from_epoch, to, to_epoch, changes }
+    EntityChange { block, kind }
+    ChangeBatch { from, from_epoch, to, to_epoch, resync, changes }
+}
+
+/// An error code travels as its one-byte number.
+impl Wire for ErrorCode {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.byte()? {
+            1 => ErrorCode::Evicted,
+            2 => ErrorCode::Unknown,
+            3 => ErrorCode::VersionMismatch,
+            4 => ErrorCode::Malformed,
+            other => return Err(WireError::Malformed(format!("error code {other}"))),
+        })
+    }
+}
+
+/// The message table of PROTOCOL.md §4, written once: a payload is the
+/// type byte, then (for `Hello`, after the magic) the listed fields in
+/// order.  Every variant of `Message` and `MsgType` is listed.
+macro_rules! wire_messages {
+    ($($variant:ident { $($field:ident),* })+) => {
+        impl MsgType {
+            fn of(byte: u8) -> Result<MsgType, WireError> {
+                match byte {
+                    $(b if b == MsgType::$variant as u8 => Ok(MsgType::$variant),)+
+                    other => Err(WireError::UnknownType(other)),
+                }
+            }
+        }
+
+        impl Message {
+            /// The message's wire type tag.
+            pub fn msg_type(&self) -> MsgType {
+                match self {
+                    $(Message::$variant { .. } => MsgType::$variant,)+
+                }
+            }
+        }
+
+        impl Wire for Message {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(self.msg_type() as u8);
+                if let Message::Hello { .. } = self {
+                    out.extend_from_slice(&MAGIC);
+                }
+                match self {
+                    $(Message::$variant { $($field),* } => {
+                        $($field.put(out);)*
+                    })+
+                }
+            }
+            // inlined so that `Message::decode` builds the message in place
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                let msg_type = MsgType::of(r.byte()?)?;
+                if msg_type == MsgType::Hello {
+                    let magic = r.bytes(4)?;
+                    if magic != MAGIC {
+                        return Err(WireError::Malformed(format!("bad magic {magic:02x?}")));
+                    }
+                }
+                Ok(match msg_type {
+                    $(MsgType::$variant => Message::$variant { $($field: Wire::get(r)?),* },)+
+                })
+            }
+        }
+    };
+}
+
+wire_messages! {
+    Hello { version }
+    HelloOk { version, schema }
+    Error { code, value, detail }
+    Pin {}
+    PinAt { generation }
+    RepairedRow { row, generation }
+    EntityResult { row, generation }
+    ChangesSince { since }
+    Subscribe {}
+    EpochRef { epoch, generation, rows }
+    RowReply { row }
+    EntityReply { entity }
+    Delta { delta }
+    SubOk { epoch, generation }
+    Feed { batch }
+}
+
+impl Message {
     /// Encode the message as one frame: `u32` little-endian payload length,
     /// then the payload (type byte + body).
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(16);
-        payload.push(self.msg_type() as u8);
-        match self {
-            Message::Hello { version } => {
-                payload.extend_from_slice(&MAGIC);
-                put_varint(&mut payload, *version);
-            }
-            Message::HelloOk { version, schema } => {
-                put_varint(&mut payload, *version);
-                put_schema(&mut payload, schema);
-            }
-            Message::Error {
-                code,
-                value,
-                detail,
-            } => {
-                payload.push(*code as u8);
-                put_varint(&mut payload, *value);
-                put_string(&mut payload, detail);
-            }
-            Message::Pin | Message::Subscribe => {}
-            Message::PinAt { generation } => put_varint(&mut payload, generation.0),
-            Message::RepairedRow { row, generation }
-            | Message::EntityResult { row, generation } => {
-                put_varint(&mut payload, row.0);
-                put_varint(&mut payload, generation.0);
-            }
-            Message::ChangesSince { since } => put_varint(&mut payload, since.0),
-            Message::EpochRef {
-                epoch,
-                generation,
-                rows,
-            } => {
-                put_varint(&mut payload, epoch.0);
-                put_varint(&mut payload, generation.0);
-                put_varint(&mut payload, *rows);
-            }
-            Message::RowReply { row } => put_opt_values(&mut payload, row),
-            Message::EntityReply { entity } => put_opt_entity_view(&mut payload, entity),
-            Message::Delta { delta } => put_delta(&mut payload, delta),
-            Message::SubOk { epoch, generation } => {
-                put_varint(&mut payload, epoch.0);
-                put_varint(&mut payload, generation.0);
-            }
-            Message::Feed { batch } => put_change_batch(&mut payload, batch),
-        }
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(
-            &u32::try_from(payload.len())
-                .expect("frame fits u32")
-                .to_le_bytes(),
-        );
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::with_capacity(20);
+        frame.extend_from_slice(&[0; 4]);
+        self.put(&mut frame);
+        let len = u32::try_from(frame.len() - 4).expect("frame fits u32");
+        frame[..4].copy_from_slice(&len.to_le_bytes());
         frame
     }
 
     /// Decode one frame payload (the bytes after the length prefix).
     pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
         let mut r = Reader::new(payload);
-        let msg_type = MsgType::of(r.byte()?)?;
-        let message = match msg_type {
-            MsgType::Hello => {
-                let magic = r.bytes(4)?;
-                if magic != MAGIC {
-                    return Err(WireError::Malformed(format!("bad magic {magic:02x?}")));
-                }
-                Message::Hello {
-                    version: r.varint()?,
-                }
-            }
-            MsgType::HelloOk => Message::HelloOk {
-                version: r.varint()?,
-                schema: r.schema()?,
-            },
-            MsgType::Error => Message::Error {
-                code: ErrorCode::of(r.byte()?)?,
-                value: r.varint()?,
-                detail: r.string()?,
-            },
-            MsgType::Pin => Message::Pin,
-            MsgType::PinAt => Message::PinAt {
-                generation: Generation(r.varint()?),
-            },
-            MsgType::RepairedRow => Message::RepairedRow {
-                row: RowId(r.varint()?),
-                generation: Generation(r.varint()?),
-            },
-            MsgType::EntityResult => Message::EntityResult {
-                row: RowId(r.varint()?),
-                generation: Generation(r.varint()?),
-            },
-            MsgType::ChangesSince => Message::ChangesSince {
-                since: Generation(r.varint()?),
-            },
-            MsgType::Subscribe => Message::Subscribe,
-            MsgType::EpochRef => Message::EpochRef {
-                epoch: EpochId(r.varint()?),
-                generation: Generation(r.varint()?),
-                rows: r.varint()?,
-            },
-            MsgType::RowReply => Message::RowReply {
-                row: r.opt_values()?,
-            },
-            MsgType::EntityReply => Message::EntityReply {
-                entity: r.opt_entity_view()?,
-            },
-            MsgType::Delta => Message::Delta { delta: r.delta()? },
-            MsgType::SubOk => Message::SubOk {
-                epoch: EpochId(r.varint()?),
-                generation: Generation(r.varint()?),
-            },
-            MsgType::Feed => Message::Feed {
-                batch: r.change_batch()?,
-            },
-        };
+        let message = Message::get(&mut r)?;
         r.finish()?;
         Ok(message)
     }
@@ -1059,11 +863,20 @@ pub fn write_frame(w: &mut impl Write, message: &Message) -> io::Result<()> {
 ///
 /// The buffer holds only bytes actually received: a length prefix alone
 /// reserves nothing, so a peer that announces a large frame and stalls costs
-/// what it sent, not what it announced.
-#[derive(Debug, Default)]
+/// what it sent, not what it announced.  A prefix over the reader's limit is
+/// refused as soon as it arrives.
+#[derive(Debug)]
 pub struct FrameReader {
     /// Received bytes not yet returned as a frame, length prefix included.
     buf: Vec<u8>,
+    /// The largest payload accepted.
+    limit: u32,
+}
+
+impl Default for FrameReader {
+    fn default() -> Self {
+        FrameReader::new()
+    }
 }
 
 /// One poll of a [`FrameReader`].
@@ -1078,9 +891,19 @@ pub enum Poll {
 }
 
 impl FrameReader {
-    /// A reader with an empty buffer.
+    /// A reader with an empty buffer that accepts payloads up to
+    /// [`MAX_FRAME`].
     pub fn new() -> Self {
-        FrameReader::default()
+        FrameReader::with_limit(MAX_FRAME)
+    }
+
+    /// A reader that refuses payloads over `limit` as
+    /// [`WireError::Oversized`].
+    pub(crate) fn with_limit(limit: u32) -> Self {
+        FrameReader {
+            buf: Vec::new(),
+            limit,
+        }
     }
 
     /// Try to complete one frame from `r`.  Returns [`Poll::Pending`] when
@@ -1093,7 +916,7 @@ impl FrameReader {
             // complete frame already buffered?
             if let Some(prefix) = self.buf.first_chunk::<4>() {
                 let announced = u32::from_le_bytes(*prefix);
-                if announced > MAX_FRAME {
+                if announced > self.limit {
                     return Err(WireError::Oversized(announced));
                 }
                 let end = 4 + announced as usize;
@@ -1253,6 +1076,242 @@ mod tests {
         }
     }
 
+    /// A delta that drops one block and replaces another.
+    fn sample_delta() -> SnapshotDelta {
+        SnapshotDelta {
+            from: Generation(2),
+            from_epoch: EpochId(5),
+            to: Generation(4),
+            to_epoch: EpochId(9),
+            changes: vec![
+                BlockChange {
+                    key: BlockKey::Singleton(RowId(77)),
+                    after: None,
+                },
+                BlockChange {
+                    key: BlockKey::Key("mj".into()),
+                    after: Some(sample_block_view()),
+                },
+            ],
+        }
+    }
+
+    /// A resync batch with one upsert and one removal.
+    fn sample_batch() -> ChangeBatch {
+        ChangeBatch {
+            from: Generation(3),
+            from_epoch: EpochId(6),
+            to: Generation(9),
+            to_epoch: EpochId(14),
+            resync: true,
+            changes: vec![
+                EntityChange {
+                    block: BlockKey::Key("mj".into()),
+                    kind: EntityChangeKind::Upserted(Box::new(sample_view())),
+                },
+                EntityChange {
+                    block: BlockKey::Singleton(RowId(9)),
+                    kind: EntityChangeKind::Removed {
+                        records: vec![RowId(9), RowId(12)],
+                    },
+                },
+            ],
+        }
+    }
+
+    /// One frame of every message type, both arms of `RowReply` and
+    /// `EntityReply`, and a `HelloOk` whose attribute names `a` and `c` are
+    /// one bit apart, so a single bit flip makes them repeat.
+    fn golden_frames() -> Vec<Message> {
+        vec![
+            Message::Hello {
+                version: PROTOCOL_VERSION,
+            },
+            Message::HelloOk {
+                version: PROTOCOL_VERSION,
+                schema: sample_schema(),
+            },
+            Message::HelloOk {
+                version: PROTOCOL_VERSION,
+                schema: Schema::builder("s")
+                    .attr("a", DataType::Int)
+                    .attr("c", DataType::Text)
+                    .build(),
+            },
+            Message::Error {
+                code: ErrorCode::Malformed,
+                value: 0,
+                detail: "bad".into(),
+            },
+            Message::Pin,
+            Message::PinAt {
+                generation: Generation(300),
+            },
+            Message::RepairedRow {
+                row: RowId(5),
+                generation: Generation(7),
+            },
+            Message::EntityResult {
+                row: RowId(128),
+                generation: Generation(2),
+            },
+            Message::ChangesSince {
+                since: Generation(1),
+            },
+            Message::Subscribe,
+            Message::EpochRef {
+                epoch: EpochId(12),
+                generation: Generation(7),
+                rows: 40_000,
+            },
+            Message::RowReply { row: None },
+            Message::RowReply {
+                row: Some(vec![
+                    Value::Null,
+                    Value::Bool(true),
+                    Value::Int(-1000),
+                    Value::Float(31.2),
+                    Value::text("mj"),
+                ]),
+            },
+            Message::EntityReply { entity: None },
+            Message::EntityReply {
+                entity: Some(sample_view()),
+            },
+            Message::Delta {
+                delta: sample_delta(),
+            },
+            Message::SubOk {
+                epoch: EpochId(1),
+                generation: Generation(1),
+            },
+            Message::Feed {
+                batch: sample_batch(),
+            },
+        ]
+    }
+
+    /// The bytes of [`golden_frames`], frame by frame: the §5 composite
+    /// layouts pinned to fixed bytes, not only to the decoder's reading.
+    const GOLDEN: [&str; 18] = [
+        // Hello
+        "06 00 00 00 01 52 4C 41 43 01",
+        // HelloOk
+        "21 00 00 00 02 01 04 73 74 61 74 04 04 6E 61 6D \
+         65 03 06 61 63 74 69 76 65 00 04 72 6E 64 73 01 \
+         03 70 70 67 02",
+        // HelloOk, attributes `a` and `c`
+        "0B 00 00 00 02 01 01 73 02 01 61 01 01 63 03",
+        // Error
+        "07 00 00 00 03 04 00 03 62 61 64",
+        // Pin
+        "01 00 00 00 10",
+        // PinAt
+        "03 00 00 00 11 AC 02",
+        // RepairedRow
+        "03 00 00 00 12 05 07",
+        // EntityResult
+        "04 00 00 00 13 80 01 02",
+        // ChangesSince
+        "02 00 00 00 14 01",
+        // Subscribe
+        "01 00 00 00 15",
+        // EpochRef
+        "06 00 00 00 20 0C 07 C0 B8 02",
+        // RowReply, absent
+        "02 00 00 00 21 00",
+        // RowReply, present
+        "16 00 00 00 21 01 05 00 01 01 02 CF 0F 03 33 33 \
+         33 33 33 33 3F 40 04 02 6D 6A",
+        // EntityReply, absent
+        "02 00 00 00 22 00",
+        // EntityReply, present
+        "67 00 00 00 22 01 02 04 AC 02 01 04 04 02 6D 6A \
+         01 00 02 36 03 00 00 00 00 00 00 00 80 03 02 00 \
+         02 01 04 04 02 6D 6A 00 02 A3 01 03 33 33 33 33 \
+         33 33 3F 40 01 04 04 02 6D 6A 01 01 02 A4 01 03 \
+         00 00 00 00 00 00 00 00 01 0B 74 69 65 73 20 61 \
+         74 20 6B 3D 32 01 03 63 75 72 02 05 63 79 63 6C \
+         65 01 02 03 04 05 06 07 08 09 0A",
+        // Delta
+        "AB 00 00 00 23 02 05 04 09 02 01 4D 00 00 02 6D \
+         6A 01 00 02 6D 6A 02 04 02 04 02 6D 6A 02 02 AC \
+         02 02 00 03 00 00 00 00 00 00 F8 7F 02 00 01 00 \
+         00 00 00 00 00 EC 3F 01 00 00 02 00 00 00 00 00 \
+         00 00 00 00 02 01 02 04 AC 02 01 04 04 02 6D 6A \
+         01 00 02 36 03 00 00 00 00 00 00 00 80 03 02 00 \
+         02 01 04 04 02 6D 6A 00 02 A3 01 03 33 33 33 33 \
+         33 33 3F 40 01 04 04 02 6D 6A 01 01 02 A4 01 03 \
+         00 00 00 00 00 00 00 00 01 0B 74 69 65 73 20 61 \
+         74 20 6B 3D 32 01 03 63 75 72 02 05 63 79 63 6C \
+         65 01 02 03 04 05 06 07 08 09 0A 03 01 01 01",
+        // SubOk
+        "03 00 00 00 24 01 01",
+        // Feed
+        "77 00 00 00 25 03 06 09 0E 01 02 00 02 6D 6A 00 \
+         02 04 AC 02 01 04 04 02 6D 6A 01 00 02 36 03 00 \
+         00 00 00 00 00 00 80 03 02 00 02 01 04 04 02 6D \
+         6A 00 02 A3 01 03 33 33 33 33 33 33 3F 40 01 04 \
+         04 02 6D 6A 01 01 02 A4 01 03 00 00 00 00 00 00 \
+         00 00 01 0B 74 69 65 73 20 61 74 20 6B 3D 32 01 \
+         03 63 75 72 02 05 63 79 63 6C 65 01 02 03 04 05 \
+         06 07 08 09 0A 01 09 01 02 09 0C",
+    ];
+
+    #[test]
+    fn golden_frames_encode_to_fixed_bytes() {
+        let frames = golden_frames();
+        assert_eq!(frames.len(), GOLDEN.len());
+        for (msg, golden) in frames.iter().zip(GOLDEN) {
+            assert_eq!(hex(&msg.encode()), golden, "{:?} drifted", msg.msg_type());
+        }
+    }
+
+    // -- decoding never panics -------------------------------------------
+
+    /// Decode `payload`; a value and an error both pass, a panic fails the
+    /// test and names the payload.
+    fn decodes_without_panic(payload: &[u8], case: &str) {
+        if std::panic::catch_unwind(|| Message::decode(payload)).is_err() {
+            panic!("decoding {case} panicked: {}", hex(payload));
+        }
+    }
+
+    #[test]
+    fn damaged_golden_frames_decode_without_panic() {
+        for msg in golden_frames() {
+            let payload = msg.encode().split_off(4);
+            for len in 0..payload.len() {
+                decodes_without_panic(&payload[..len], "a truncated payload");
+            }
+            for bit in 0..payload.len() * 8 {
+                let mut flipped = payload.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                decodes_without_panic(&flipped, "a bit-flipped payload");
+            }
+        }
+    }
+
+    #[test]
+    fn random_payloads_decode_without_panic() {
+        // splitmix64 from a fixed seed, so a failure reproduces
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for msg in golden_frames() {
+            for _ in 0..2_000 {
+                let len = (next() % 64) as usize;
+                let mut payload = vec![msg.msg_type() as u8];
+                payload.extend((0..len).map(|_| next() as u8));
+                decodes_without_panic(&payload, "a random payload");
+            }
+        }
+    }
+
     // -- the normative byte examples -------------------------------------
 
     /// Every byte-level example in `docs/PROTOCOL.md` is produced here by
@@ -1284,15 +1343,15 @@ mod tests {
         examples.push(("CF 0F", b));
 
         let mut b = Vec::new();
-        put_value(&mut b, &Value::Int(27));
+        Value::Int(27).put(&mut b);
         examples.push(("02 36", b));
 
         let mut b = Vec::new();
-        put_value(&mut b, &Value::text("mj"));
+        Value::text("mj").put(&mut b);
         examples.push(("04 02 6D 6A", b));
 
         let mut b = Vec::new();
-        put_value(&mut b, &Value::Float(31.2));
+        Value::Float(31.2).put(&mut b);
         examples.push(("03 33 33 33 33 33 33 3F 40", b));
 
         examples.push(("01 00 00 00 10", Message::Pin.encode()));
@@ -1346,6 +1405,11 @@ mod tests {
             "MAX_FRAME value must be documented"
         );
         assert_eq!(MAX_FRAME, 67_108_864);
+        assert!(
+            doc.contains("| `MAX_REQUEST` | 1024 bytes"),
+            "the server's request limit must be documented"
+        );
+        assert_eq!(MAX_REQUEST, 1024);
         assert!(
             doc.contains("# The relacc wire protocol, version 1") && PROTOCOL_VERSION == 1,
             "the documented protocol version must match PROTOCOL_VERSION"
@@ -1419,43 +1483,10 @@ mod tests {
             entity: Some(sample_view()),
         });
         roundtrip(&Message::Delta {
-            delta: SnapshotDelta {
-                from: Generation(2),
-                from_epoch: EpochId(5),
-                to: Generation(4),
-                to_epoch: EpochId(9),
-                changes: vec![
-                    BlockChange {
-                        key: BlockKey::Singleton(RowId(77)),
-                        after: None,
-                    },
-                    BlockChange {
-                        key: BlockKey::Key("mj".into()),
-                        after: Some(sample_block_view()),
-                    },
-                ],
-            },
+            delta: sample_delta(),
         });
         roundtrip(&Message::Feed {
-            batch: ChangeBatch {
-                from: Generation(3),
-                from_epoch: EpochId(6),
-                to: Generation(9),
-                to_epoch: EpochId(14),
-                resync: true,
-                changes: vec![
-                    EntityChange {
-                        block: BlockKey::Key("mj".into()),
-                        kind: EntityChangeKind::Upserted(Box::new(sample_view())),
-                    },
-                    EntityChange {
-                        block: BlockKey::Singleton(RowId(9)),
-                        kind: EntityChangeKind::Removed {
-                            records: vec![RowId(9), RowId(12)],
-                        },
-                    },
-                ],
-            },
+            batch: sample_batch(),
         });
     }
 

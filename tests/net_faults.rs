@@ -26,6 +26,8 @@ use relacc::resolve::{BlockKey, BlockingStrategy, ResolveConfig};
 use relacc::serve::{ChangeBatch, EntityChangeKind, Server};
 use relacc::store::{Relation, RowId, UpdateBatch};
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Payload size per row: big enough that a few batches overflow any
@@ -275,5 +277,68 @@ fn feed_batches_are_pushed_on_publish_not_on_the_read_timeout() {
         );
     }
     sub.close();
+    net.shutdown();
+}
+
+/// A frame the server cannot accept gets a terminal `Error{Malformed}`
+/// frame and then EOF: an unknown message type, a header over `MAX_FRAME`,
+/// and a header over the server's small request limit, which is refused
+/// as soon as its four bytes arrive instead of waiting for the announced
+/// megabyte.  The listener keeps serving fresh clients afterwards.
+#[test]
+fn refused_frames_get_an_error_frame_then_eof() {
+    let engine = open_engine();
+    let server = Server::new(&engine);
+    let mut net =
+        NetServer::spawn(server.clone(), "127.0.0.1:0").expect("bind an ephemeral loopback port");
+    let mut over_request_limit = (1u32 << 20).to_le_bytes().to_vec();
+    over_request_limit.extend([0x10; 100]);
+    let cases = [
+        (
+            "an unknown message type",
+            vec![0x01, 0x00, 0x00, 0x00, 0x7F],
+        ),
+        (
+            "a header over MAX_FRAME",
+            (64 * 1024 * 1024 + 1u32).to_le_bytes().to_vec(),
+        ),
+        ("a 1 MiB header and 100 bytes", over_request_limit),
+    ];
+    for (case, bytes) in cases {
+        let mut raw = TcpStream::connect(net.local_addr()).expect("raw client connects");
+        raw.set_read_timeout(Some(Duration::from_secs(1)))
+            .expect("set a read timeout");
+        let started = Instant::now();
+        raw.write_all(&bytes).expect("send the refused bytes");
+        let mut reply = Vec::new();
+        if let Err(e) = raw.read_to_end(&mut reply) {
+            panic!("{case}: no EOF within a second ({e}); read {reply:02X?}");
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "{case}: the server took {:?} to refuse",
+            started.elapsed()
+        );
+        assert!(
+            reply.len() > 6 && reply[4..6] == [0x03, 0x04],
+            "{case}: expected an Error{{Malformed}} frame before EOF, read {reply:02X?}"
+        );
+        let announced = u32::from_le_bytes(reply[..4].try_into().expect("4 bytes")) as usize;
+        assert_eq!(
+            announced,
+            reply.len() - 4,
+            "{case}: one whole frame, then EOF"
+        );
+    }
+
+    let mut fresh = NetClient::connect(net.local_addr()).expect("a fresh client still connects");
+    let generation = engine.current_epoch().generation();
+    let local = server
+        .repaired_row(RowId(0), generation)
+        .expect("current generation readable");
+    let tcp = fresh
+        .repaired_row(RowId(0), generation)
+        .expect("TCP read succeeds");
+    assert_eq!(format!("{local:?}"), format!("{tcp:?}"));
     net.shutdown();
 }
