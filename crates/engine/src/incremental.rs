@@ -16,7 +16,10 @@
 //!   blocks can change;
 //! * dirty blocks are re-resolved locally and their entities re-repaired in
 //!   **one** [`BatchEngine::run`] over the existing worker pool; every clean
-//!   block keeps its cached per-entity results;
+//!   block keeps its cached per-entity results.  A re-resolution reuses the
+//!   cached match decision of every pair whose two rows survived and
+//!   compares only the pairs an insert created
+//!   ([`relacc_resolve::resolve_block`]);
 //! * master-data **appends** evolve the compiled plan in place
 //!   ([`relacc_core::chase::ChasePlan::apply_master_delta`] — monotone: new
 //!   form-(2) steps are
@@ -47,9 +50,8 @@ use relacc_core::chase::{
 };
 use relacc_model::{EntityInstance, SchemaRef, TargetTuple, Tuple, Value};
 use relacc_resolve::{
-    resolve_relation, resolve_relation_with_fingerprints, BlockKey, Blocker,
-    IncrementalBlockingIndex, MatchDecision, RecordFingerprint, ResolveConfig, ResolveStats,
-    ResolvedEntities,
+    resolve_block, BlockKey, BlockResolution, BlockWork, Blocker, IncrementalBlockingIndex,
+    MatchDecision, PriorBlock, RecordFingerprint, ResolveConfig, ResolveStats, ResolvedEntities,
 };
 use relacc_store::{Generation, Relation, RowId, UpdateBatch, UpdateError, VersionedRelation};
 use std::collections::{BTreeSet, HashMap};
@@ -69,7 +71,9 @@ use std::sync::Arc;
 pub(crate) struct BlockRepair {
     /// The block's live rows at repair time, in snapshot order.
     pub(crate) rows: Vec<RowId>,
-    /// Pairwise match decisions, with indices local to `rows`.
+    /// Pairwise match decisions, with indices local to `rows`: the full
+    /// row-major upper triangle, which the next re-resolution of the block
+    /// reuses for its surviving pairs.
     pub(crate) decisions: Vec<MatchDecision>,
     /// The block's entities in ascending-smallest-member order.
     pub(crate) entities: Vec<BlockEntity>,
@@ -102,8 +106,9 @@ struct BlockJob {
     row_ids: Vec<RowId>,
     /// The tuples of `row_ids` (parallel).
     rows: Vec<Tuple>,
-    /// The block's previous repair, when cached (fingerprint reuse on the
-    /// re-resolve path; the member partition on the cached-resolution path).
+    /// The block's previous repair, when cached (decision and fingerprint
+    /// reuse on the re-resolve path; the member partition on the
+    /// cached-resolution path).
     cached: Option<Arc<BlockRepair>>,
     /// Re-resolve membership (row updates) or reuse the cached resolution
     /// and re-run only the chase (master deltas)?
@@ -134,22 +139,18 @@ struct PreparedRepair {
 /// drain so stage 4 can split the chase results back per job.
 #[derive(Debug)]
 struct ResolvedJob {
-    /// Fresh local resolution + fingerprints (`None` on the
-    /// cached-resolution path, which updates results copy-on-write instead).
-    fresh: Option<(ResolvedEntities, Vec<RecordFingerprint>)>,
+    /// The block's fresh resolution (`None` on the cached-resolution path,
+    /// which updates results copy-on-write instead).
+    fresh: Option<BlockResolution>,
     /// The block's entity instances, in block-entity order.
     entities: Vec<EntityInstance>,
     /// `entities.len()` at resolution time.
     entity_count: usize,
-    /// Rows fingerprinted by this job.
-    rows_fingerprinted: usize,
-    /// Rows whose cached fingerprint was reused by this job.
-    fingerprints_reused: usize,
 }
 
 /// Stage 2 of a re-repair: resolve every job's block **in parallel at block
 /// granularity** over the shared pool.  Per-block resolution is a pure
-/// function of the job (rows + cached fingerprints + config), so the output
+/// function of the job (rows + cached resolution + config), so the output
 /// is identical at every thread count and the pool's dynamic loop can hand
 /// blocks to whichever worker is free.
 fn resolve_block_jobs(
@@ -158,11 +159,7 @@ fn resolve_block_jobs(
     schema: &SchemaRef,
     threads: usize,
 ) -> Vec<ResolvedJob> {
-    let similarity_attrs = if resolve.cascade && jobs.iter().any(|j| j.reresolve) {
-        resolve.similarity_attrs(schema)
-    } else {
-        Vec::new()
-    };
+    let similarity_attrs = resolve.similarity_attrs(schema);
     let threads = effective_threads(threads, jobs.len());
     par_map_with(
         jobs,
@@ -172,85 +169,51 @@ fn resolve_block_jobs(
     )
 }
 
-/// Resolve one block job (see [`resolve_block_jobs`]).
+/// Resolve one block job (see [`resolve_block_jobs`]).  A re-resolved
+/// block hands its cached repair to [`resolve_block`] as the prior, so only
+/// the pairs with an inserted row are compared (the seed repair and new
+/// blocks have no prior and compare every pair); a plan-delta job reuses
+/// the cached member partition outright.
 fn resolve_one_job(
     job: &BlockJob,
     resolve: &ResolveConfig,
     similarity_attrs: &[relacc_model::AttrId],
     schema: &SchemaRef,
 ) -> ResolvedJob {
-    if job.reresolve {
-        let mut local = Relation::new(schema.clone());
-        for tuple in &job.rows {
-            local
-                .push_row(tuple.values().to_vec())
-                .expect("live rows conform to the schema");
-        }
-        let (mut fresh, fingerprints, rows_fingerprinted, fingerprints_reused) = if resolve.cascade
-        {
-            // reuse cached fingerprints for rows that survived from the
-            // block's previous repair; only inserted rows are fingerprinted
-            // (a fingerprint is a pure function of the row, so reuse is
-            // exact)
-            let cached = job.cached.as_deref();
-            let prev_pos: HashMap<RowId, usize> = cached
-                .map(|b| b.rows.iter().enumerate().map(|(i, &r)| (r, i)).collect())
-                .unwrap_or_default();
-            let mut fingerprints = Vec::with_capacity(job.rows.len());
-            let (mut computed, mut reused) = (0usize, 0usize);
-            for (id, tuple) in job.row_ids.iter().zip(&job.rows) {
-                match cached.and_then(|b| prev_pos.get(id).and_then(|&i| b.fingerprints.get(i))) {
-                    Some(fp) => {
-                        reused += 1;
-                        fingerprints.push(fp.clone());
-                    }
-                    None => {
-                        computed += 1;
-                        fingerprints.push(RecordFingerprint::of_tuple(tuple, similarity_attrs));
-                    }
-                }
-            }
-            (
-                resolve_relation_with_fingerprints(&local, resolve, &fingerprints),
-                fingerprints,
-                computed,
-                reused,
-            )
-        } else {
-            (resolve_relation(&local, resolve), Vec::new(), 0, 0)
-        };
-        let entities = std::mem::take(&mut fresh.entities);
-        let entity_count = entities.len();
-        ResolvedJob {
-            fresh: Some((fresh, fingerprints)),
-            entities,
-            entity_count,
-            rows_fingerprinted,
-            fingerprints_reused,
-        }
-    } else {
-        let repair = job
-            .cached
-            .as_deref()
-            .expect("plan-delta dirty blocks are cached");
-        let mut entities = Vec::with_capacity(repair.entities.len());
-        for be in &repair.entities {
+    let cached = job.cached.as_deref();
+    let fresh = job.reresolve.then(|| {
+        let prior = cached.map(|b| PriorBlock {
+            rows: &b.rows,
+            decisions: &b.decisions,
+            fingerprints: &b.fingerprints,
+        });
+        resolve_block(&job.rows, &job.row_ids, similarity_attrs, resolve, prior)
+    });
+    let members: Vec<&[usize]> = match &fresh {
+        Some(fresh) => fresh.members.iter().map(Vec::as_slice).collect(),
+        None => cached
+            .expect("plan-delta dirty blocks are cached")
+            .entities
+            .iter()
+            .map(|be| be.members.as_slice())
+            .collect(),
+    };
+    let entities: Vec<EntityInstance> = members
+        .iter()
+        .map(|positions| {
             let mut instance = EntityInstance::new(schema.clone());
-            for &local in &be.members {
+            for &pos in *positions {
                 instance
-                    .push_tuple(job.rows[local].clone())
+                    .push_tuple(job.rows[pos].clone())
                     .expect("live rows conform to the schema");
             }
-            entities.push(instance);
-        }
-        let entity_count = entities.len();
-        ResolvedJob {
-            fresh: None,
-            entities,
-            entity_count,
-            rows_fingerprinted: 0,
-            fingerprints_reused: 0,
-        }
+            instance
+        })
+        .collect();
+    ResolvedJob {
+        entity_count: entities.len(),
+        fresh,
+        entities,
     }
 }
 
@@ -292,6 +255,22 @@ pub struct IncrementalStats {
     /// Rows whose cached fingerprint was reused during a block
     /// re-resolution — the steady-state streaming case.
     pub fingerprints_reused: usize,
+    /// Row pairs decided by the resolution cascade (initial repair plus
+    /// every pair with a row inserted into a re-resolved block).
+    pub pairs_compared: usize,
+    /// Row pairs of a re-resolved block whose cached decision was reused
+    /// because both rows survived.
+    pub pairs_reused: usize,
+}
+
+impl IncrementalStats {
+    /// Count one block resolution's work.
+    fn add_work(&mut self, work: &BlockWork) {
+        self.rows_fingerprinted += work.rows_fingerprinted;
+        self.fingerprints_reused += work.fingerprints_reused;
+        self.pairs_compared += work.pairs_compared;
+        self.pairs_reused += work.pairs_reused;
+    }
 }
 
 /// Errors of the incremental engine.
@@ -595,16 +574,15 @@ impl IncrementalEngine {
         for (job, rjob) in jobs.into_iter().zip(resolved) {
             let results = &results[cursor..cursor + rjob.entity_count];
             cursor += rjob.entity_count;
-            self.stats.rows_fingerprinted += rjob.rows_fingerprinted;
-            self.stats.fingerprints_reused += rjob.fingerprints_reused;
             match rjob.fresh {
-                Some((fresh, fingerprints)) => {
+                Some(fresh) => {
+                    self.stats.add_work(&fresh.work);
                     let entities = fresh
                         .members
-                        .iter()
+                        .into_iter()
                         .zip(results.iter())
                         .map(|(members, result)| BlockEntity {
-                            members: members.clone(),
+                            members,
                             result: result.clone(),
                         })
                         .collect();
@@ -614,7 +592,7 @@ impl IncrementalEngine {
                             rows: job.row_ids,
                             decisions: fresh.decisions,
                             entities,
-                            fingerprints,
+                            fingerprints: fresh.fingerprints,
                             stats: fresh.stats,
                         }),
                     );
@@ -971,6 +949,7 @@ mod tests {
             snap.resolved.decisions, full.resolved.decisions,
             "{label}: decisions"
         );
+        assert_eq!(snap.resolved.stats, full.resolved.stats, "{label}: stats");
         assert_eq!(
             snap.report.entities.len(),
             full.report.entities.len(),
@@ -1113,12 +1092,16 @@ mod tests {
     #[test]
     fn steady_state_streaming_fingerprints_only_inserted_rows() {
         let mut engine = open_engine();
-        // the initial full repair fingerprints every seed row once
+        // the initial full repair fingerprints every seed row once and
+        // compares the one mj pair
         assert_eq!(engine.stats().rows_fingerprinted, 3);
         assert_eq!(engine.stats().fingerprints_reused, 0);
+        assert_eq!(engine.stats().pairs_compared, 1);
+        assert_eq!(engine.stats().pairs_reused, 0);
 
         // inserting into the existing "mj" block re-resolves it: the two
-        // cached mj fingerprints are reused, only the new row is computed
+        // cached mj fingerprints are reused, only the new row is computed,
+        // and only its 2 pairs are compared while the old pair is reused
         engine
             .apply(&UpdateBatch::new("stat").insert(vec![
                 Value::text("mj"),
@@ -1128,16 +1111,22 @@ mod tests {
             .unwrap();
         assert_eq!(engine.stats().rows_fingerprinted, 4);
         assert_eq!(engine.stats().fingerprints_reused, 2);
+        assert_eq!(engine.stats().pairs_compared, 3);
+        assert_eq!(engine.stats().pairs_reused, 1);
+        assert_matches_full(&engine, "third-mj");
 
         // a delete re-resolves the block entirely from cached fingerprints
+        // and decisions: nothing is compared
         engine
             .apply(&UpdateBatch::new("stat").delete(RowId(3)))
             .unwrap();
         assert_eq!(engine.stats().rows_fingerprinted, 4);
         assert_eq!(engine.stats().fingerprints_reused, 4);
+        assert_eq!(engine.stats().pairs_compared, 3);
+        assert_eq!(engine.stats().pairs_reused, 2);
 
         // master deltas reuse the cached resolution outright: no
-        // fingerprint work at all
+        // fingerprint or pair work at all
         let before = engine.stats().clone();
         engine
             .apply_master_append(0, vec![vec![Value::text("sp"), Value::text("Blazers")]])
@@ -1147,6 +1136,8 @@ mod tests {
             engine.stats().fingerprints_reused,
             before.fingerprints_reused
         );
+        assert_eq!(engine.stats().pairs_compared, before.pairs_compared);
+        assert_eq!(engine.stats().pairs_reused, before.pairs_reused);
         assert_matches_full(&engine, "fingerprint-reuse");
     }
 

@@ -16,7 +16,8 @@
 //!   all `O(n²)` record pairs of a large relation;
 //! * [`resolve`] — pairwise matching plus union-find clustering that splits a
 //!   dirty [`relacc_store::Relation`] into per-entity
-//!   [`relacc_model::EntityInstance`]s;
+//!   [`relacc_model::EntityInstance`]s, and resolves one block again after
+//!   an update, comparing only the pairs with a row new to the block;
 //! * [`incremental`] — a maintained row → block index that maps an update
 //!   batch (inserts/deletes of a versioned relation) to the set of dirty
 //!   blocks, the unit of incremental re-resolution and re-repair.
@@ -54,8 +55,8 @@ pub use blocking::{
 pub use fingerprint::{AttrFingerprint, RecordFingerprint};
 pub use incremental::{BlockKey, DirtyBlocks, IncrementalBlockingIndex};
 pub use resolve::{
-    resolve_relation, resolve_relation_with_fingerprints, MatchDecision, PruneStage, ResolveConfig,
-    ResolveStats, ResolvedEntities,
+    resolve_block, resolve_relation, BlockResolution, BlockWork, MatchDecision, PriorBlock,
+    PruneStage, ResolveConfig, ResolveStats, ResolvedEntities,
 };
 pub use similarity::{
     jaccard_tokens, levenshtein, levenshtein_with, normalized_levenshtein, record_similarity,

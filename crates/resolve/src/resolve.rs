@@ -5,12 +5,32 @@
 //! blocking (so only plausible pairs are compared), pairwise record matching on
 //! a similarity threshold, and union-find clustering so that matching is
 //! transitive within a block.
+//!
+//! Two entry points share one pairwise decision procedure:
+//! [`resolve_relation`] blocks a whole relation and resolves every block,
+//! and [`resolve_block`] resolves one block, optionally reusing the block's
+//! prior resolution.
+//!
+//! **Why reusing a prior resolution is exact.**  A [`MatchDecision`] is a
+//! pure function of the two rows (and their fingerprints, themselves pure
+//! functions of the rows), the similarity attributes, the threshold and the
+//! cascade flag, and a caller fixes all of those for the life of a block.
+//! So when a block gains and loses rows, the pair of two rows that were
+//! both in the block before gets exactly the decision it got then.  The
+//! copy lands in the right place because survivors keep their relative
+//! order: a block lists its rows by ascending row id both times, so two
+//! survivors at positions `i < j` of the new block sit at prior positions
+//! `a < b`, the prior's row-major triangle entry `(a, b)`.  Only pairs with
+//! a row new to the block run the cascade.  Union-find then runs
+//! over the complete decision list, so the clustering, the decisions and
+//! the stats derived from them ([`ResolveStats::of_decisions`]) equal a
+//! from-scratch pass over the block.
 
 use crate::blocking::{Blocker, BlockingStrategy};
 use crate::fingerprint::RecordFingerprint;
 use crate::similarity::{record_similarity_with, SimilarityScratch};
 use relacc_model::{AttrId, EntityInstance, Tuple};
-use relacc_store::Relation;
+use relacc_store::{Relation, RowId};
 
 /// Configuration of the resolution pass.
 #[derive(Debug, Clone)]
@@ -146,6 +166,24 @@ pub struct ResolveStats {
 }
 
 impl ResolveStats {
+    /// The counters of a pass that made exactly these decisions: each
+    /// decision is one considered pair, and its `pruned` field names the
+    /// stage that settled it (`None`: the full computation ran).
+    pub fn of_decisions(decisions: &[MatchDecision]) -> Self {
+        let mut stats = ResolveStats {
+            pairs_considered: decisions.len(),
+            ..ResolveStats::default()
+        };
+        for decision in decisions {
+            match decision.pruned {
+                Some(PruneStage::Length) => stats.pruned_by_length += 1,
+                Some(PruneStage::Fingerprint) => stats.pruned_by_fingerprint += 1,
+                None => stats.dp_runs += 1,
+            }
+        }
+        stats
+    }
+
     /// Fold another pass's counters into this one (block-wise aggregation).
     pub fn merge(&mut self, other: &ResolveStats) {
         self.pairs_considered += other.pairs_considered;
@@ -269,6 +307,88 @@ impl UnionFind {
         self.parent[small] = big;
         self.size[big] += self.size[small];
     }
+
+    /// The classes, each ascending, in order of their smallest member.
+    fn clusters(&mut self) -> Vec<Vec<usize>> {
+        let n = self.parent.len();
+        let mut cluster_of_root = vec![usize::MAX; n];
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        for idx in 0..n {
+            let root = self.find(idx);
+            if cluster_of_root[root] == usize::MAX {
+                cluster_of_root[root] = members.len();
+                members.push(Vec::new());
+            }
+            members[cluster_of_root[root]].push(idx);
+        }
+        members
+    }
+}
+
+/// The pairwise decision procedure of one pass: the threshold, the
+/// attributes records are compared on, and one similarity scratch shared
+/// by every `O(block²)` comparison.
+struct Cascade<'a> {
+    threshold: f64,
+    cascade: bool,
+    attrs: &'a [AttrId],
+    scratch: SimilarityScratch,
+}
+
+impl<'a> Cascade<'a> {
+    fn new(config: &ResolveConfig, attrs: &'a [AttrId]) -> Self {
+        Cascade {
+            threshold: config.threshold,
+            cascade: config.cascade,
+            attrs,
+            scratch: SimilarityScratch::new(),
+        }
+    }
+
+    /// Decide the pair `(left, right)` of `rows`.  With the cascade on,
+    /// `fingerprints` is parallel to `rows`, and the pair is pruned on an
+    /// upper bound strictly below the threshold (`matched` tests `>=`, so
+    /// `ub < threshold` proves the pair unmatched); otherwise it runs the
+    /// full similarity.
+    fn decide(
+        &mut self,
+        rows: &[Tuple],
+        fingerprints: &[RecordFingerprint],
+        left: usize,
+        right: usize,
+    ) -> MatchDecision {
+        let bound = if self.cascade {
+            let (a, b) = (&fingerprints[left], &fingerprints[right]);
+            let stage1 = a.stage1_upper_bound(b);
+            if stage1 < self.threshold {
+                Some((stage1, PruneStage::Length))
+            } else {
+                let stage2 = a.stage2_upper_bound(b);
+                (stage2 < self.threshold).then_some((stage2, PruneStage::Fingerprint))
+            }
+        } else {
+            None
+        };
+        let (similarity, matched, pruned) = match bound {
+            Some((bound, stage)) => (bound, false, Some(stage)),
+            None => {
+                let similarity = record_similarity_with(
+                    &rows[left],
+                    &rows[right],
+                    self.attrs,
+                    &mut self.scratch,
+                );
+                (similarity, similarity >= self.threshold, None)
+            }
+        };
+        MatchDecision {
+            left,
+            right,
+            similarity,
+            matched,
+            pruned,
+        }
+    }
 }
 
 /// Resolve a relation into entity instances.
@@ -285,148 +405,214 @@ impl UnionFind {
 /// entity instance keeps the full rows of its records under the input
 /// schema, ready to be wrapped in a `Specification`.
 ///
-/// Fingerprints are computed here, once per record.  Callers that already
-/// hold fingerprints for these rows (the incremental engine's block cache)
-/// use [`resolve_relation_with_fingerprints`] instead.
+/// Fingerprints are computed here, once per record.  Callers that keep one
+/// block's resolution across updates (the incremental engine's block cache)
+/// use [`resolve_block`] instead.
 pub fn resolve_relation(relation: &Relation, config: &ResolveConfig) -> ResolvedEntities {
-    if !config.cascade {
-        return resolve_inner(relation, config, None);
-    }
-    let attrs = config.similarity_attrs(relation.schema());
-    let fingerprints: Vec<RecordFingerprint> = relation
-        .rows()
-        .iter()
-        .map(|row| RecordFingerprint::of_tuple(row, &attrs))
-        .collect();
-    resolve_inner(relation, config, Some(&fingerprints))
-}
-
-/// [`resolve_relation`] over caller-supplied fingerprints — one per row of
-/// `relation`, computed with [`RecordFingerprint::of_tuple`] over
-/// [`ResolveConfig::similarity_attrs`].  This is the steady-state streaming
-/// entry point: the incremental engine caches fingerprints per block so only
-/// freshly inserted rows ever pay the fingerprinting cost.
-///
-/// # Panics
-/// If `fingerprints` is not parallel to `relation.rows()`.
-pub fn resolve_relation_with_fingerprints(
-    relation: &Relation,
-    config: &ResolveConfig,
-    fingerprints: &[RecordFingerprint],
-) -> ResolvedEntities {
-    assert_eq!(
-        fingerprints.len(),
-        relation.len(),
-        "one fingerprint per row"
-    );
-    resolve_inner(relation, config, Some(fingerprints))
-}
-
-fn resolve_inner(
-    relation: &Relation,
-    config: &ResolveConfig,
-    fingerprints: Option<&[RecordFingerprint]>,
-) -> ResolvedEntities {
-    let schema = relation.schema().clone();
-    let match_attrs: Vec<AttrId> = config
-        .match_attrs
-        .iter()
-        .filter_map(|name| schema.attr_id(name))
-        .collect();
+    let schema = relation.schema();
     let rows: &[Tuple] = relation.rows();
-
-    let blocker = Blocker::new(match_attrs.clone(), config.strategy.clone());
-    let blocks = blocker.blocks(rows);
-
-    let mut uf = UnionFind::new(rows.len());
-    let mut decisions = Vec::new();
-    let mut stats = ResolveStats::default();
-    // whole-record fallback attributes, computed once instead of per pair
-    let all_attrs: Vec<AttrId> = if match_attrs.is_empty() {
-        schema.attr_ids().collect()
+    let attrs = config.similarity_attrs(schema);
+    let fingerprints: Vec<RecordFingerprint> = if config.cascade {
+        rows.iter()
+            .map(|row| RecordFingerprint::of_tuple(row, &attrs))
+            .collect()
     } else {
         Vec::new()
     };
-    // one similarity scratch serves every O(block²) comparison of the pass
-    let mut scratch = SimilarityScratch::new();
-    for block in &blocks {
-        for i in 0..block.len() {
-            for j in (i + 1)..block.len() {
-                let (a, b) = (block[i], block[j]);
-                let attrs = if match_attrs.is_empty() {
-                    &all_attrs
-                } else {
-                    &match_attrs
-                };
-                stats.pairs_considered += 1;
-                // the cascade: prune on an upper bound strictly below the
-                // threshold (`matched` tests `>=`, so `ub < threshold`
-                // proves the pair unmatched), else fall through
-                let (similarity, matched, pruned) = match fingerprints {
-                    Some(fps) => {
-                        let stage1 = fps[a].stage1_upper_bound(&fps[b]);
-                        if stage1 < config.threshold {
-                            stats.pruned_by_length += 1;
-                            (stage1, false, Some(PruneStage::Length))
-                        } else {
-                            let stage2 = fps[a].stage2_upper_bound(&fps[b]);
-                            if stage2 < config.threshold {
-                                stats.pruned_by_fingerprint += 1;
-                                (stage2, false, Some(PruneStage::Fingerprint))
-                            } else {
-                                stats.dp_runs += 1;
-                                let similarity =
-                                    record_similarity_with(&rows[a], &rows[b], attrs, &mut scratch);
-                                (similarity, similarity >= config.threshold, None)
-                            }
-                        }
-                    }
-                    None => {
-                        stats.dp_runs += 1;
-                        let similarity =
-                            record_similarity_with(&rows[a], &rows[b], attrs, &mut scratch);
-                        (similarity, similarity >= config.threshold, None)
-                    }
-                };
-                if matched {
+
+    let mut cascade = Cascade::new(config, &attrs);
+    let mut uf = UnionFind::new(rows.len());
+    let mut decisions = Vec::new();
+    for block in config.blocker(schema).blocks(rows) {
+        for (i, &a) in block.iter().enumerate() {
+            for &b in &block[i + 1..] {
+                let decision = cascade.decide(rows, &fingerprints, a, b);
+                if decision.matched {
                     uf.union(a, b);
                 }
-                decisions.push(MatchDecision {
-                    left: a,
-                    right: b,
-                    similarity,
-                    matched,
-                    pruned,
-                });
+                decisions.push(decision);
             }
         }
     }
 
-    // collect clusters in order of their smallest member
-    let mut cluster_of_root: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::new();
-    let mut members: Vec<Vec<usize>> = Vec::new();
-    for idx in 0..rows.len() {
-        let root = uf.find(idx);
-        let cluster = *cluster_of_root.entry(root).or_insert_with(|| {
-            members.push(Vec::new());
-            members.len() - 1
-        });
-        members[cluster].push(idx);
-    }
-
-    let mut entities = Vec::with_capacity(members.len());
-    for cluster in &members {
-        let mut instance = EntityInstance::new(schema.clone());
-        for &idx in cluster {
+    let members = uf.clusters();
+    let entities = members
+        .iter()
+        .map(|cluster| {
+            let mut instance = EntityInstance::new(schema.clone());
+            for &idx in cluster {
+                instance
+                    .push_tuple(rows[idx].clone())
+                    .expect("rows conform to their own schema");
+            }
             instance
-                .push_tuple(rows[idx].clone())
-                .expect("rows conform to their own schema");
+        })
+        .collect();
+    let stats = ResolveStats::of_decisions(&decisions);
+    ResolvedEntities::from_parts(entities, members, decisions, stats)
+}
+
+/// A block's previous resolution, as [`resolve_block`] reuses it: the
+/// `rows`, `decisions` and `fingerprints` of an earlier
+/// [`BlockResolution`] of the same block.
+#[derive(Debug, Clone, Copy)]
+pub struct PriorBlock<'a> {
+    /// The block's row ids at that resolution, ascending.
+    pub rows: &'a [RowId],
+    /// Its decisions: the full row-major upper triangle over `rows`.
+    pub decisions: &'a [MatchDecision],
+    /// Fingerprints of `rows` (parallel); empty without the cascade.
+    pub fingerprints: &'a [RecordFingerprint],
+}
+
+/// What one [`resolve_block`] call computed and what it reused.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlockWork {
+    /// Pairs decided by the cascade: each has a row the prior did not hold.
+    pub pairs_compared: usize,
+    /// Pairs of two surviving rows whose prior decision was copied.
+    pub pairs_reused: usize,
+    /// Rows fingerprinted for the cascade.
+    pub rows_fingerprinted: usize,
+    /// Rows whose prior fingerprint was reused.
+    pub fingerprints_reused: usize,
+}
+
+/// The output of [`resolve_block`], indexed by position in the block's rows.
+#[derive(Debug, Clone)]
+pub struct BlockResolution {
+    /// The block's entities as ascending positions, in order of smallest
+    /// member.
+    pub members: Vec<Vec<usize>>,
+    /// One decision per pair: the full row-major upper triangle.
+    pub decisions: Vec<MatchDecision>,
+    /// Fingerprints of the rows (parallel); empty without the cascade.
+    pub fingerprints: Vec<RecordFingerprint>,
+    /// Cascade counters derived from `decisions`: what a from-scratch pass
+    /// over the block reports, whatever was reused.
+    pub stats: ResolveStats,
+    /// The work this call did.
+    pub work: BlockWork,
+}
+
+/// Number of pairs of `n` rows.
+fn pair_count(n: usize) -> usize {
+    n * n.saturating_sub(1) / 2
+}
+
+/// Strictly ascending ids: survivors of two such lists keep their relative
+/// order, which is what places a copied decision in the prior's triangle.
+fn ascending(ids: &[RowId]) -> bool {
+    ids.windows(2).all(|w| w[0] < w[1])
+}
+
+/// Resolve one block: `rows` (with their ascending ids `ids`) all share a
+/// blocking key, so every pair is compared and nothing is re-blocked.  The
+/// output equals what [`resolve_relation`] decides for this block, rebased
+/// to block positions.
+///
+/// With a `prior` resolution of the same block, a pair of two rows the
+/// prior also held copies its prior decision (similarity, verdict, prune
+/// stage) and a surviving row keeps its fingerprint, so only the pairs
+/// with a row new to the block run the cascade (see the module docs for
+/// why this is exact).  Union-find then runs over the merged decisions, and
+/// the stats are re-derived from them.
+///
+/// `attrs` are the similarity attributes
+/// ([`ResolveConfig::similarity_attrs`]).
+///
+/// # Panics
+/// If `rows` and `ids` differ in length, either id list does not strictly
+/// ascend, or `prior.decisions` is not one decision per pair of
+/// `prior.rows`.
+pub fn resolve_block(
+    rows: &[Tuple],
+    ids: &[RowId],
+    attrs: &[AttrId],
+    config: &ResolveConfig,
+    prior: Option<PriorBlock<'_>>,
+) -> BlockResolution {
+    assert_eq!(rows.len(), ids.len(), "one id per row");
+    assert!(ascending(ids), "block row ids ascend");
+    let n = rows.len();
+    let mut work = BlockWork::default();
+
+    // each row's position in the prior, when it survived: both id lists
+    // ascend, so one merge walk maps them
+    let mut survivor: Vec<Option<usize>> = vec![None; n];
+    let prior_rows = prior.map_or(0, |p| p.rows.len());
+    if let Some(prior) = prior {
+        assert!(ascending(prior.rows), "prior row ids ascend");
+        assert_eq!(
+            prior.decisions.len(),
+            pair_count(prior_rows),
+            "the prior holds one decision per pair"
+        );
+        let mut old = prior.rows.iter().enumerate().peekable();
+        for (slot, id) in survivor.iter_mut().zip(ids) {
+            while old.next_if(|(_, old_id)| *old_id < id).is_some() {}
+            *slot = old.next_if(|(_, old_id)| *old_id == id).map(|(pos, _)| pos);
         }
-        entities.push(instance);
     }
 
-    ResolvedEntities::from_parts(entities, members, decisions, stats)
+    let fingerprints: Vec<RecordFingerprint> = if config.cascade {
+        rows.iter()
+            .zip(&survivor)
+            .map(|(row, old)| {
+                match old.and_then(|pos| prior.and_then(|p| p.fingerprints.get(pos))) {
+                    Some(fingerprint) => {
+                        work.fingerprints_reused += 1;
+                        fingerprint.clone()
+                    }
+                    None => {
+                        work.rows_fingerprinted += 1;
+                        RecordFingerprint::of_tuple(row, attrs)
+                    }
+                }
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+
+    let mut cascade = Cascade::new(config, attrs);
+    let mut uf = UnionFind::new(n);
+    let mut decisions = Vec::with_capacity(pair_count(n));
+    for (i, &old_left) in survivor.iter().enumerate() {
+        // the prior triangle's row of `i`: pair (a, b) sits at start + b - a - 1
+        let prior_row = old_left.map(|a| (a, a * (2 * prior_rows - a - 1) / 2));
+        for (j, &old_right) in survivor.iter().enumerate().skip(i + 1) {
+            let decision = match (prior, prior_row, old_right) {
+                (Some(prior), Some((a, start)), Some(b)) => {
+                    work.pairs_reused += 1;
+                    let old = &prior.decisions[start + b - a - 1];
+                    MatchDecision {
+                        left: i,
+                        right: j,
+                        similarity: old.similarity,
+                        matched: old.matched,
+                        pruned: old.pruned,
+                    }
+                }
+                _ => {
+                    work.pairs_compared += 1;
+                    cascade.decide(rows, &fingerprints, i, j)
+                }
+            };
+            if decision.matched {
+                uf.union(i, j);
+            }
+            decisions.push(decision);
+        }
+    }
+
+    BlockResolution {
+        members: uf.clusters(),
+        stats: ResolveStats::of_decisions(&decisions),
+        decisions,
+        fingerprints,
+        work,
+    }
 }
 
 #[cfg(test)]
@@ -555,6 +741,91 @@ mod tests {
             assert_eq!(baseline.stats.dp_runs, baseline.stats.pairs_considered);
             assert_eq!(baseline.stats.pruned_fraction(), 0.0);
         }
+    }
+
+    #[test]
+    fn resolve_block_reuses_surviving_pairs_exactly() {
+        let relation = player_relation();
+        // one block of Jordans and near misses, so its pairs are matched,
+        // computed-but-unmatched and pruned
+        let names = [
+            "Michael Jordan",
+            "Michael  Jordan",
+            "Michael Jordon",
+            "Michaeljordan",
+            // same characters, shifted: no bound prunes it, yet it is far
+            "Mjordanichael",
+            "Mi",
+        ];
+        let rows: Vec<Tuple> = names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                Tuple::new(vec![
+                    Value::text(*name),
+                    Value::text("Chicago"),
+                    Value::Int(i as i64),
+                ])
+            })
+            .collect();
+        let config = ResolveConfig::on_attrs(vec!["name".into()]).with_threshold(0.8);
+        let attrs = config.similarity_attrs(relation.schema());
+        let ids: Vec<RowId> = (0..4).map(RowId).collect();
+        let prior = resolve_block(&rows[..4], &ids, &attrs, &config, None);
+        assert_eq!(prior.work.pairs_compared, 6);
+
+        // row 1 leaves; rows 4 and 5 arrive with larger ids
+        let kept: Vec<usize> = vec![0, 2, 3, 4, 5];
+        let new_rows: Vec<Tuple> = kept.iter().map(|&i| rows[i].clone()).collect();
+        let new_ids: Vec<RowId> = kept.iter().map(|&i| RowId(i as u64)).collect();
+        let reused = resolve_block(
+            &new_rows,
+            &new_ids,
+            &attrs,
+            &config,
+            Some(PriorBlock {
+                rows: &ids,
+                decisions: &prior.decisions,
+                fingerprints: &prior.fingerprints,
+            }),
+        );
+        let scratch = resolve_block(&new_rows, &new_ids, &attrs, &config, None);
+        assert_eq!(reused.members, scratch.members);
+        assert_eq!(reused.decisions, scratch.decisions);
+        assert_eq!(reused.stats, scratch.stats);
+        assert_eq!(reused.fingerprints.len(), new_rows.len());
+        // the 3 surviving rows' 3 pairs are copied; the 7 pairs with a new
+        // row are compared
+        assert_eq!(
+            reused.work,
+            BlockWork {
+                pairs_compared: 7,
+                pairs_reused: 3,
+                rows_fingerprinted: 2,
+                fingerprints_reused: 3,
+            }
+        );
+        let kinds = |d: &MatchDecision| (d.matched, d.pruned.is_some());
+        for kind in [(true, false), (false, false), (false, true)] {
+            assert!(
+                scratch.decisions.iter().any(|d| kinds(d) == kind),
+                "the block holds a {kind:?} pair"
+            );
+        }
+
+        // the block equals what resolve_relation decides over the same rows
+        let local = Relation::from_rows(
+            relation.schema().clone(),
+            new_rows.iter().map(|t| t.values().to_vec()).collect(),
+        )
+        .unwrap();
+        let full = resolve_relation(
+            &local,
+            &config.clone().with_strategy(BlockingStrategy::Prefix(1)),
+        );
+        assert_eq!(full.members, scratch.members);
+        assert_eq!(full.decisions, scratch.decisions);
+        assert_eq!(full.stats, scratch.stats);
     }
 
     #[test]

@@ -15,13 +15,21 @@ use relacc_core::chase::CheckScratch;
 use relacc_heap::{F64Key, PairingHeap, Scored, ScoredHeap};
 use relacc_model::Value;
 use std::collections::HashSet;
+use std::rc::Rc;
 
-/// A frontier object: an assignment of the `Z` attributes, the buffer indices
-/// it was generated from, and its score.
+/// A frontier object: the buffer positions of its `Z` assignment (one per
+/// attribute, so `buffers[i][positions[i]]` is its value of `Z_i`) and its
+/// score.  The `Z` values themselves are built only when the object is
+/// popped; the positions are shared with the seen-set.
+///
+/// Keying on positions is exact: every domain is pairwise distinct under
+/// [`Value::same`] (`active_domain` and `candidate_domain` deduplicate
+/// with it), and `Value`'s `Eq` implies `same` (floats compare by
+/// `total_cmp` under both, NaN included), so distinct positions are
+/// distinct assignments under the `Eq`/`Hash` a value-keyed seen-set used.
 #[derive(Debug, Clone)]
 struct FrontierObject {
-    z_values: Vec<Value>,
-    positions: Vec<usize>,
+    positions: Rc<[u32]>,
     score: f64,
 }
 
@@ -83,25 +91,33 @@ fn topkct_capped(
         }
     }
 
-    let initial_values: Vec<Value> = buffers.iter().map(|b| b[0].item.clone()).collect();
+    let mut z_values: Vec<Value> = buffers.iter().map(|b| b[0].item.clone()).collect();
     let initial = FrontierObject {
-        score: search.score(&search.assemble(&initial_values)),
-        z_values: initial_values,
-        positions: vec![0; m],
+        score: search.score(&search.assemble(&z_values)),
+        positions: vec![0; m].into(),
     };
 
     let mut queue: PairingHeap<F64Key, FrontierObject> = PairingHeap::new();
-    let mut seen: HashSet<Vec<Value>> = HashSet::new();
-    seen.insert(initial.z_values.clone());
+    let mut seen: HashSet<Rc<[u32]>> = HashSet::new();
+    seen.insert(Rc::clone(&initial.positions));
     queue.push(F64Key(initial.score), initial);
     stats.generated += 1;
 
     let mut candidates: Vec<ScoredCandidate> = Vec::new();
+    let mut next: Vec<u32> = Vec::with_capacity(m);
     while candidates.len() < k {
         let Some((_, object)) = queue.pop() else {
             break;
         };
-        let candidate = search.assemble(&object.z_values);
+        z_values.clear();
+        z_values.extend(
+            object
+                .positions
+                .iter()
+                .zip(&buffers)
+                .map(|(&p, buffer)| buffer[p as usize].item.clone()),
+        );
+        let candidate = search.assemble(&z_values);
         if search.check(&candidate, scratch, &mut stats) {
             candidates.push(ScoredCandidate {
                 score: object.score,
@@ -115,34 +131,23 @@ fn topkct_capped(
             continue;
         }
         for i in 0..m {
-            let next_pos = object.positions[i] + 1;
-            if buffers[i].len() <= next_pos {
+            let pos = object.positions[i] as usize;
+            if buffers[i].len() <= pos + 1 {
                 match heaps[i].pop() {
                     Some(entry) => buffers[i].push(entry),
                     None => continue, // domain exhausted in this direction
                 }
             }
-            let old = &buffers[i][object.positions[i]];
-            let new = &buffers[i][next_pos];
-            let mut z_values = object.z_values.clone();
-            z_values[i] = new.item.clone();
-            if seen.contains(&z_values) {
+            next.clear();
+            next.extend_from_slice(&object.positions);
+            next[i] += 1;
+            if seen.contains(next.as_slice()) {
                 continue;
             }
-            let score = object.score - old.score + new.score;
-            seen.insert(z_values.clone());
-            queue.push(
-                F64Key(score),
-                FrontierObject {
-                    z_values,
-                    positions: {
-                        let mut p = object.positions.clone();
-                        p[i] = next_pos;
-                        p
-                    },
-                    score,
-                },
-            );
+            let score = object.score - buffers[i][pos].score + buffers[i][pos + 1].score;
+            let positions: Rc<[u32]> = Rc::from(next.as_slice());
+            seen.insert(Rc::clone(&positions));
+            queue.push(F64Key(score), FrontierObject { positions, score });
             stats.generated += 1;
         }
     }

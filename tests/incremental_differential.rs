@@ -10,10 +10,23 @@
 //! Per-entity chase counters are deliberately **excluded**: a cached entity
 //! reports the work of the run that produced it, and doing less work per
 //! update is the entire point of incrementality.
+//!
+//! Med and Rest block on an exact key, so every in-block decision there is
+//! the same (similarity 1.0, matched), and a decision copied from the wrong
+//! pair would go unseen.  `reused_decisions_match_full_on_large_blocks`
+//! streams random batches through prefix-blocked `large_blocks` rows, whose
+//! blocks mix matched, unmatched and pruned pairs, and checks the
+//! resolution after every batch.
 
+use relacc::core::chase::SplitMix64;
+use relacc::core::rules::{Predicate, RuleSet, TupleRule};
 use relacc::datagen::streaming::{med_stream, rest_stream, StreamConfig, StreamOp, UpdateStream};
+use relacc::datagen::{large_blocks, LargeBlocksConfig};
 use relacc::engine::{BatchEngine, IncrementalEngine, RelationRepair};
-use relacc::resolve::{BlockingStrategy, ResolveConfig};
+use relacc::model::{AttrId, CmpOp, Tuple, Value};
+use relacc::resolve::{resolve_relation, BlockingStrategy, MatchDecision, ResolveConfig};
+use relacc::store::{Relation, RowId, UpdateBatch};
+use std::collections::BTreeMap;
 
 fn resolve_config(stream: &UpdateStream) -> ResolveConfig {
     ResolveConfig::on_attrs(stream.match_attrs.clone()).with_strategy(BlockingStrategy::ExactKey)
@@ -27,6 +40,10 @@ fn assert_semantically_equal(incremental: &RelationRepair, full: &RelationRepair
     assert_eq!(
         incremental.resolved.decisions, full.resolved.decisions,
         "{label}: match decisions"
+    );
+    assert_eq!(
+        incremental.resolved.stats, full.resolved.stats,
+        "{label}: resolution stats"
     );
     assert_eq!(
         incremental.resolved.entities.len(),
@@ -221,4 +238,148 @@ fn incremental_is_thread_count_invariant() {
     assert_semantically_equal(one, many, "1-vs-4-threads");
     // with an identical update schedule even the chase counters must agree
     assert_eq!(one.report.stats, many.report.stats, "aggregated stats");
+}
+
+/// A row for block `tag`: a copy of `source`'s payload with `edits` char
+/// substitutions (none on the separators), or a random payload of four
+/// 7-char tokens when `source` is `None`.
+fn block_row(
+    rng: &mut SplitMix64,
+    tag: &str,
+    source: Option<&str>,
+    edits: usize,
+    obs: i64,
+) -> Vec<Value> {
+    const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";
+    let random_char = |rng: &mut SplitMix64| ALPHABET[rng.next_below(ALPHABET.len())] as char;
+    let payload: String = match source {
+        Some(payload) => {
+            let mut chars: Vec<char> = payload.chars().collect();
+            for _ in 0..edits {
+                let pos = rng.next_below(chars.len());
+                if chars[pos] != ' ' {
+                    chars[pos] = random_char(rng);
+                }
+            }
+            chars.into_iter().collect()
+        }
+        None => (0..31)
+            .map(|i| if i % 8 == 7 { ' ' } else { random_char(rng) })
+            .collect(),
+    };
+    vec![Value::text(format!("{tag} {payload}")), Value::Int(obs)]
+}
+
+/// The block tag of a `large_blocks` name and its payload.
+fn split_name(row: &Tuple) -> (&str, &str) {
+    match row.value(AttrId(0)) {
+        Value::Str(name) => (&name[..5], &name[6..]),
+        other => panic!("names are text, got {other:?}"),
+    }
+}
+
+/// Does one block hold a matched pair, a computed but unmatched pair and
+/// (with the cascade on) a pruned pair?
+fn some_block_mixes_decisions(
+    relation: &Relation,
+    decisions: &[MatchDecision],
+    cascade: bool,
+) -> bool {
+    let mut kinds: BTreeMap<&str, [bool; 3]> = BTreeMap::new();
+    for d in decisions {
+        let kind = match (d.matched, d.pruned) {
+            (true, _) => 0,
+            (false, None) => 1,
+            (false, Some(_)) => 2,
+        };
+        let (tag, _) = split_name(&relation.rows()[d.left]);
+        kinds.entry(tag).or_default()[kind] = true;
+    }
+    kinds
+        .values()
+        .any(|&[matched, unmatched, pruned]| matched && unmatched && (pruned || !cascade))
+}
+
+#[test]
+fn reused_decisions_match_full_on_large_blocks() {
+    let data = large_blocks(&LargeBlocksConfig {
+        n_blocks: 3,
+        rows_per_block: 10,
+        tokens_per_payload: 4,
+        near_dup_rate: 0.5,
+        seed: 19,
+    });
+    let schema = data.relation.schema().clone();
+    let obs = schema.expect_attr("obs");
+    let rules = RuleSet::from_rules([TupleRule::new(
+        "cur",
+        vec![Predicate::cmp_attrs(obs, CmpOp::Lt)],
+        obs,
+    )]);
+    // the seed rows' tags and payloads, to derive inserts from
+    let seeds: Vec<(&str, &str)> = data.relation.rows().iter().map(split_name).collect();
+    for cascade in [true, false] {
+        let mut resolve = ResolveConfig::on_attrs(data.match_attrs.clone()).with_threshold(0.85);
+        if !cascade {
+            resolve = resolve.without_cascade();
+        }
+        for threads in [1usize, 4] {
+            let label = format!("large_blocks/cascade={cascade}/threads={threads}");
+            let engine = BatchEngine::new(schema.clone(), rules.clone(), Vec::new())
+                .expect("the currency rule validates")
+                .with_threads(threads)
+                .with_suggestion_k(0);
+            let mut incremental =
+                IncrementalEngine::open(engine, "large_blocks", &data.relation, resolve.clone());
+            let mut rng = SplitMix64::new(0x1a6e_b10c);
+            let mut next_id = data.relation.len() as u64;
+            let mut live: Vec<RowId> = (0..next_id).map(RowId).collect();
+            let mut saw_all_kinds = false;
+            for step in 0..60 {
+                let mut batch = UpdateBatch::new("large_blocks");
+                for _ in 0..rng.next_below(3) {
+                    if live.len() > 4 {
+                        batch = batch.delete(live.remove(rng.next_below(live.len())));
+                    }
+                }
+                let inserts = rng.next_below(4);
+                for _ in 0..inserts {
+                    let (tag, payload) = seeds[rng.next_below(seeds.len())];
+                    // 0–7 edits straddle the threshold; every fourth row is
+                    // unrelated and mostly pruned
+                    let source = (rng.next_below(4) != 0).then_some(payload);
+                    let edits = rng.next_below(8);
+                    let row = block_row(&mut rng, tag, source, edits, next_id as i64);
+                    batch = batch.insert(row);
+                    live.push(RowId(next_id));
+                    next_id += 1;
+                }
+                incremental
+                    .apply(&batch)
+                    .unwrap_or_else(|e| panic!("{label}: batch {step} rejected: {e}"));
+                let relation = incremental.relation().snapshot();
+                let snapshot = incremental.snapshot();
+                let full = resolve_relation(&relation, &resolve);
+                let at = format!("{label}/step {step}");
+                assert_eq!(snapshot.resolved.members, full.members, "{at}: members");
+                assert_eq!(
+                    snapshot.resolved.decisions, full.decisions,
+                    "{at}: decisions"
+                );
+                assert_eq!(snapshot.resolved.stats, full.stats, "{at}: stats");
+                saw_all_kinds |= some_block_mixes_decisions(&relation, &full.decisions, cascade);
+            }
+            assert!(
+                saw_all_kinds,
+                "{label}: no block ever held matched, unmatched and pruned pairs"
+            );
+            let stats = incremental.stats();
+            assert!(
+                stats.pairs_reused > stats.pairs_compared,
+                "{label}: most pairs should be reused ({} reused, {} compared)",
+                stats.pairs_reused,
+                stats.pairs_compared
+            );
+        }
+    }
 }
