@@ -22,7 +22,6 @@ pub use iscr::{
     ChaseStats, Conflict, IsCrOutcome,
 };
 pub use plan::{
-    ChasePlan, ChaseScratch, GroundedMasterDelta, MasterDeltaApplied, MasterUpdate, PlanDeltaError,
-    PlanStamp,
+    ChasePlan, ChaseScratch, GroundedMasterDelta, MasterUpdate, PlanDeltaError, PlanStamp,
 };
 pub use spec::{AccuracyInstance, Specification, SpecificationError};

@@ -62,7 +62,6 @@ use relacc_model::{
 };
 use std::collections::HashSet;
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -72,7 +71,7 @@ static NEXT_PLAN_ID: AtomicU64 = AtomicU64::new(1);
 /// The identity + version of a compiled plan at one point in time.
 ///
 /// Every compiled plan gets a fresh process-unique identity; every in-place
-/// [`ChasePlan::apply_master_delta`] bumps its version.  A
+/// [`ChasePlan::adopt_master_delta`] bumps its version.  A
 /// [`ChaseCheckpoint`] captured through [`ChasePlan::checkpoint_with`] records
 /// the stamp it was captured under, and
 /// [`ChasePlan::checkpoint_is_current`] compares stamps — so state cached
@@ -115,19 +114,6 @@ impl MasterUpdate {
             deletes: Vec::new(),
         }
     }
-}
-
-/// What an in-place master delta did to the plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MasterDeltaApplied {
-    /// The plan's stamp after the delta.
-    pub stamp: PlanStamp,
-    /// Flattened indices (into the plan's pre-grounded step sequence, counted
-    /// by [`ChasePlan::master_step_count`]) of the ground steps the delta
-    /// added — the only steps a cached repair needs to test entities against.
-    pub new_steps: Range<usize>,
-    /// Number of master tuples appended.
-    pub appended: usize,
 }
 
 /// A master-data append grounded **once** against a plan state, ready to be
@@ -176,9 +162,8 @@ impl GroundedMasterDelta {
     }
 }
 
-/// Errors from [`ChasePlan::apply_master_delta`] and the split
-/// [`ChasePlan::ground_master_delta`] / [`ChasePlan::adopt_master_delta`]
-/// pair.
+/// Errors from [`ChasePlan::ground_master_delta`] and
+/// [`ChasePlan::adopt_master_delta`].
 #[derive(Debug)]
 pub enum PlanDeltaError {
     /// The update targets a master relation the plan does not have.
@@ -216,10 +201,11 @@ impl std::error::Error for PlanDeltaError {}
 /// A schema-resolved, validated, master-grounded chase program, ready to be
 /// evaluated against any number of entity instances.
 ///
-/// A plan is **append-evolvable**: [`ChasePlan::apply_master_delta`] extends
-/// the master data (and its pre-grounded steps) in place, bumping the plan's
-/// [`PlanStamp`] version.  A plan is meant to be mutated by a single owner;
-/// `Clone` copies the stamp, so divergently mutated clones must not be mixed.
+/// A plan is **append-evolvable**: [`ChasePlan::ground_master_delta`] then
+/// [`ChasePlan::adopt_master_delta`] extend the master data (and its
+/// pre-grounded steps) in place, bumping the plan's [`PlanStamp`] version.
+/// A plan is meant to be mutated by a single owner; `Clone` copies the
+/// stamp, so divergently mutated clones must not be mixed.
 #[derive(Debug, Clone)]
 pub struct ChasePlan {
     schema: SchemaRef,
@@ -311,8 +297,7 @@ impl ChasePlan {
         &self.masters
     }
 
-    /// Number of pre-grounded form-(2) steps.  The flattened index ranges
-    /// returned by [`ChasePlan::apply_master_delta`] count against this.
+    /// Number of pre-grounded form-(2) steps.
     pub fn master_step_count(&self) -> usize {
         self.master_step_len
     }
@@ -330,38 +315,23 @@ impl ChasePlan {
         checkpoint.plan_stamp() == Some(self.stamp)
     }
 
-    /// Apply a **monotone** master-data update in place: append the update's
-    /// rows to the targeted master relation (interned against the plan's
-    /// canonical strings) and pre-ground the form-(2) steps those new tuples
-    /// contribute, with the same duplicate folding as compilation.  Nothing
-    /// already compiled moves: existing ground steps keep their indices, so
-    /// every specification and grounding derived from the plan *before* the
-    /// delta stays a valid prefix view; the plan's [`PlanStamp`] version is
-    /// bumped so downstream caches know to revalidate.
+    /// The grounding half of a **monotone** master-data update: validate the
+    /// update, intern its rows and pre-ground the form-(2) steps they
+    /// contribute, with the same duplicate folding as compilation —
+    /// **without mutating the plan's logical state**.  The returned
+    /// [`GroundedMasterDelta`] can be adopted by this plan *and* by any clone
+    /// still at the same [`PlanStamp`], so a master append is ground exactly
+    /// once however many plan clones adopt it.
+    ///
+    /// `&mut self` only because the appended strings are registered with the
+    /// plan's interner; nothing observable by the chase (masters, steps,
+    /// stamp) changes until adoption.
     ///
     /// Deletions (and rule changes, which never go through this API) are not
     /// monotone — steps would have to be *removed* — and are rejected with
     /// [`PlanDeltaError::RequiresRecompile`]; the caller recompiles via
     /// [`ChasePlan::compile`] over the updated inputs, obtaining a fresh plan
     /// identity that stale checkpoints cannot validate against.
-    pub fn apply_master_delta(
-        &mut self,
-        update: &MasterUpdate,
-    ) -> Result<MasterDeltaApplied, PlanDeltaError> {
-        let delta = self.ground_master_delta(update)?;
-        self.adopt_master_delta(&delta)
-    }
-
-    /// The grounding half of [`ChasePlan::apply_master_delta`]: validate the
-    /// update, intern its rows and pre-ground the form-(2) steps they
-    /// contribute — **without mutating the plan's logical state**.  The
-    /// returned [`GroundedMasterDelta`] can be adopted by this plan *and* by
-    /// any clone still at the same [`PlanStamp`], so a master append is
-    /// ground exactly once however many plan clones adopt it.
-    ///
-    /// `&mut self` only because the appended strings are registered with the
-    /// plan's interner; nothing observable by the chase (masters, steps,
-    /// stamp) changes until adoption.
     pub fn ground_master_delta(
         &mut self,
         update: &MasterUpdate,
@@ -417,11 +387,15 @@ impl ChasePlan {
         })
     }
 
-    /// The adoption half of [`ChasePlan::apply_master_delta`]: append the
-    /// delta's pre-validated rows and its shared step block to this plan and
-    /// bump the stamp version.  Per-adopter work is O(|Δ| rows + |new steps|)
-    /// reference pushes — the `|Σ2| × |Δ|` grounding loop already ran, once,
-    /// in [`ChasePlan::ground_master_delta`].
+    /// The adoption half of a master-data update: append the delta's
+    /// pre-validated rows and its shared step block to this plan and bump the
+    /// stamp version.  Nothing already compiled moves: existing ground steps
+    /// keep their indices, so every specification and grounding derived from
+    /// the plan *before* the delta stays a valid prefix view, and the bumped
+    /// [`PlanStamp`] tells downstream caches to revalidate.  Per-adopter work
+    /// is O(|Δ| rows + |new steps|) reference pushes — the `|Σ2| × |Δ|`
+    /// grounding loop already ran, once, in
+    /// [`ChasePlan::ground_master_delta`].
     ///
     /// The adopting plan must be at exactly the delta's base stamp (same
     /// identity, same version); anything else is rejected with
@@ -430,7 +404,7 @@ impl ChasePlan {
     pub fn adopt_master_delta(
         &mut self,
         delta: &GroundedMasterDelta,
-    ) -> Result<MasterDeltaApplied, PlanDeltaError> {
+    ) -> Result<(), PlanDeltaError> {
         if delta.base != self.stamp {
             return Err(PlanDeltaError::StaleDelta);
         }
@@ -455,7 +429,6 @@ impl ChasePlan {
             self.master_seen
                 .insert((step.action.clone(), step.pending.clone()));
         }
-        let first_new = self.master_step_len;
         if !delta.steps.is_empty() {
             self.master_step_len += delta.steps.len();
             self.master_segments.push(Arc::clone(&delta.steps));
@@ -463,11 +436,7 @@ impl ChasePlan {
         self.master_tuples_considered += delta.tuples_considered;
         self.master_folded_away += delta.folded_away;
         self.stamp.version += 1;
-        Ok(MasterDeltaApplied {
-            stamp: self.stamp,
-            new_steps: first_new..self.master_step_len,
-            appended: delta.rows.len(),
-        })
+        Ok(())
     }
 
     /// A copy of the plan's interner, seeded with every master-data and
@@ -792,16 +761,17 @@ mod tests {
         let run = plan.is_cr_with(&ie, &mut scratch);
         assert!(run.outcome.target().unwrap().is_null(AttrId(2)));
 
-        let applied = plan
-            .apply_master_delta(&MasterUpdate::append(
+        let delta = plan
+            .ground_master_delta(&MasterUpdate::append(
                 0,
                 vec![vec![Value::text("sp"), Value::text("Blazers")]],
             ))
             .unwrap();
-        assert_eq!(applied.appended, 1);
-        assert_eq!(applied.stamp.plan, stamp0.plan);
-        assert_eq!(applied.stamp.version, 1);
-        assert_eq!(applied.new_steps, 1..2);
+        plan.adopt_master_delta(&delta).unwrap();
+        assert_eq!(delta.appended(), 1);
+        assert_eq!(plan.stamp().plan, stamp0.plan);
+        assert_eq!(plan.stamp().version, 1);
+        assert_eq!(delta.steps().len(), 1);
         assert_eq!(plan.master_step_count(), 2);
         assert_eq!(plan.masters()[0].len(), 2);
 
@@ -830,20 +800,21 @@ mod tests {
         let ms = master_schema();
         let mut plan = ChasePlan::compile(s.clone(), rules(&s, &ms), vec![master(&ms)]).unwrap();
         // appending the exact row the plan already grounded adds no step
-        let applied = plan
-            .apply_master_delta(&MasterUpdate::append(
+        let delta = plan
+            .ground_master_delta(&MasterUpdate::append(
                 0,
                 vec![vec![Value::text("mj"), Value::text("Bulls")]],
             ))
             .unwrap();
-        assert!(applied.new_steps.is_empty());
+        plan.adopt_master_delta(&delta).unwrap();
+        assert!(delta.steps().is_empty());
         assert_eq!(plan.master_step_count(), 1);
-        assert_eq!(applied.stamp.version, 1);
+        assert_eq!(plan.stamp().version, 1);
     }
 
     /// The ground-once contract: ground a delta once, adopt it on any
-    /// number of plan clones — every adopter matches the single-owner
-    /// `apply_master_delta` path exactly and shares the delta's step block.
+    /// number of plan clones — every adopter matches a plan that grounds and
+    /// adopts the update itself, and shares the delta's step block.
     #[test]
     fn one_grounding_serves_every_plan_clone() {
         let s = schema();
@@ -860,17 +831,18 @@ mod tests {
         assert_eq!(owner.master_step_count(), 1);
         assert_eq!(owner.masters()[0].len(), 1);
 
-        let applied = owner.adopt_master_delta(&delta).unwrap();
+        owner.adopt_master_delta(&delta).unwrap();
         for clone in &mut clones {
-            assert_eq!(clone.adopt_master_delta(&delta).unwrap(), applied);
+            clone.adopt_master_delta(&delta).unwrap();
+            assert_eq!(clone.stamp(), owner.stamp());
         }
-        assert_eq!(applied.new_steps, 1..2);
-        assert_eq!(applied.stamp.version, 1);
+        assert_eq!(owner.stamp().version, 1);
 
-        // every adopter deduces like a single-owner apply_master_delta plan
+        // every adopter deduces like a plan that grounds its own update
         let mut reference =
             ChasePlan::compile(s.clone(), rules(&s, &ms), vec![master(&ms)]).unwrap();
-        reference.apply_master_delta(&update).unwrap();
+        let own = reference.ground_master_delta(&update).unwrap();
+        reference.adopt_master_delta(&own).unwrap();
         let ie = entity(&s, "sp", &[3, 9]);
         let mut scratch = ChaseScratch::new();
         let want = reference.is_cr_with(&ie, &mut scratch);
@@ -908,17 +880,17 @@ mod tests {
         let mut deletion = MasterUpdate::append(0, vec![]);
         deletion.deletes.push(0);
         assert!(matches!(
-            plan.apply_master_delta(&deletion),
+            plan.ground_master_delta(&deletion),
             Err(PlanDeltaError::RequiresRecompile)
         ));
         assert!(matches!(
-            plan.apply_master_delta(&MasterUpdate::append(7, vec![])),
+            plan.ground_master_delta(&MasterUpdate::append(7, vec![])),
             Err(PlanDeltaError::NoSuchMaster(7))
         ));
         // a schema-invalid row leaves the plan untouched
         let before = plan.master_step_count();
         assert!(matches!(
-            plan.apply_master_delta(&MasterUpdate::append(0, vec![vec![Value::Int(1)]])),
+            plan.ground_master_delta(&MasterUpdate::append(0, vec![vec![Value::Int(1)]])),
             Err(PlanDeltaError::Schema(_))
         ));
         assert_eq!(plan.master_step_count(), before);
@@ -939,11 +911,13 @@ mod tests {
         assert!(plan.checkpoint_is_current(&checkpoint));
 
         // a master delta invalidates previously captured checkpoints
-        plan.apply_master_delta(&MasterUpdate::append(
-            0,
-            vec![vec![Value::text("sp"), Value::text("Blazers")]],
-        ))
-        .unwrap();
+        let delta = plan
+            .ground_master_delta(&MasterUpdate::append(
+                0,
+                vec![vec![Value::text("sp"), Value::text("Blazers")]],
+            ))
+            .unwrap();
+        plan.adopt_master_delta(&delta).unwrap();
         assert!(!plan.checkpoint_is_current(&checkpoint));
         scratch.restore_index(checkpoint.into_index());
 

@@ -85,7 +85,7 @@ pub enum StreamOp {
 /// A complete streaming workload: the seed state plus the scripted updates.
 #[derive(Debug, Clone)]
 pub struct UpdateStream {
-    /// Catalog-entry name of the dirty relation (the one the batches address).
+    /// Name of the dirty relation (the one the batches address).
     pub name: String,
     /// The seed dirty relation (flattened, entity-key-tagged rows).
     pub relation: Relation,

@@ -320,7 +320,8 @@ impl BatchEngine {
     }
 
     /// Mutable access to the compiled plan, for in-place master deltas
-    /// ([`ChasePlan::apply_master_delta`]).  The incremental engine owns its
+    /// ([`ChasePlan::ground_master_delta`], then
+    /// [`ChasePlan::adopt_master_delta`]).  The incremental engine owns its
     /// batch engine and evolves the plan through this.
     pub fn plan_mut(&mut self) -> &mut ChasePlan {
         &mut self.plan
@@ -392,7 +393,9 @@ impl BatchEngine {
         }
     }
 
-    fn evaluate_entity(
+    /// Chase one entity with a worker's scratch and search a suggestion when
+    /// its target stays open: the per-entity step of every batch run.
+    pub(crate) fn evaluate_entity(
         &self,
         idx: usize,
         ie: &EntityInstance,

@@ -1,10 +1,10 @@
 //! Epoch-versioned snapshots: the MVCC substrate of the serving layer.
 //!
-//! The incremental engine mutates its per-block cache in place, which is
-//! fine for a single-threaded driver but serves reads only through an
-//! exclusive reference.  This module turns every committed update into an
-//! immutable **epoch** — an `Arc`'d view of the engine's state right after
-//! one `apply` / master delta — published into a shared [`EpochHub`]:
+//! The incremental engine updates its per-block cache under `&mut self`, so
+//! on its own it serves reads only through an exclusive reference.  This
+//! module turns every committed update into an immutable **epoch** — an
+//! `Arc`'d view of the engine's state right after one `apply` / master
+//! delta — published into a shared [`EpochHub`]:
 //!
 //! * **Publish protocol.**  The engine (the only writer) publishes a new
 //!   [`Epoch`] at the end of every mutation, under the hub lock, as one
@@ -12,8 +12,10 @@
 //!   the same lock.  Neither side ever holds the lock across real work, so
 //!   reads never block writes and a pinned epoch can never be observed
 //!   half-updated: it either is the published pointer or it is not.
-//!   Copy-on-write underneath ([`relacc_store::VersionedRelation`] rows,
-//!   `Arc`'d block repairs) keeps publishing cheap and pinned state frozen.
+//!   Sharing keeps publishing cheap and pinned state frozen: a
+//!   [`relacc_store::VersionedRelation`] copies a row page on write only
+//!   while an epoch pins it, and a block repair is never written once built
+//!   (a re-repair inserts a fresh `Arc`).
 //! * **Epoch ids vs generations.**  A [`Generation`] counts applied row
 //!   batches — but master deltas change repair *results* without advancing
 //!   it, so epochs carry their own monotone [`EpochId`] (+1 per publish,
@@ -35,11 +37,12 @@
 //! The serving crate (`relacc-serve`) builds its `Server` / `Subscription`
 //! API purely on the hub handle, so the engine never learns about consumers.
 
-use crate::batch::{entity_row, EntityResult, RelationRepair};
-use crate::incremental::{assemble_repair, AssembledBlock, BlockRepair};
+use crate::batch::{entity_row, materialize_rows, BatchReport, EntityResult, RelationRepair};
+use crate::incremental::BlockRepair;
+use crate::pool::effective_threads;
 use relacc_core::chase::PlanStamp;
 use relacc_model::{EntityInstance, SchemaRef, Tuple, Value};
-use relacc_resolve::{BlockKey, Blocker, MatchDecision, ResolveStats};
+use relacc_resolve::{BlockKey, Blocker, MatchDecision, ResolveStats, ResolvedEntities};
 use relacc_store::{Generation, Relation, RelationEpoch, RowId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -141,8 +144,8 @@ impl Epoch {
     /// Keys of the blocks whose state may differ between `earlier` and this
     /// epoch, ascending: blocks pinned by only one of the two, and blocks
     /// the two pin as different allocations.  A block both pin as the same
-    /// allocation is unchanged — the engine copies a pinned block before it
-    /// writes, and row ids are never reused — so [`Epoch::block_view`] of
+    /// allocation is unchanged — the engine never writes a block repair once
+    /// built, and row ids are never reused — so [`Epoch::block_view`] of
     /// every other key is equal at both epochs.  Costs one pointer compare
     /// per block and memory per changed block only.
     pub fn blocks_changed_since(&self, earlier: &Epoch) -> BTreeSet<BlockKey> {
@@ -211,10 +214,39 @@ impl Epoch {
             .collect()
     }
 
-    /// Assemble the epoch's full [`RelationRepair`] — bit-identical to the
-    /// engine's own snapshot at the moment this epoch was published.
+    /// Assemble the epoch's full [`RelationRepair`] from its pinned rows and
+    /// block map: the engine's `snapshot()` while this epoch is current.
     pub fn snapshot(&self) -> RelationRepair {
-        assemble_views(self.schema.clone(), &self.block_views(), self.threads)
+        // rows ascend by id, so a row's position is its rank
+        let mut relation = Relation::new(self.schema.clone());
+        let mut order: Vec<RowId> = Vec::with_capacity(self.rows.len());
+        for row in self.rows.rows() {
+            order.push(row.id);
+            relation
+                .push_row(row.tuple.values().to_vec())
+                .expect("pinned rows conform to the schema");
+        }
+        let blocks = self
+            .blocks
+            .values()
+            .map(|block| {
+                let positions: Vec<usize> = block
+                    .rows
+                    .iter()
+                    .map(|id| order.binary_search(id).expect("block rows are pinned"))
+                    .collect();
+                let entities = block
+                    .entities
+                    .iter()
+                    .map(|be| {
+                        let members = be.members.iter().map(|&m| positions[m]).collect();
+                        (members, be.result.clone())
+                    })
+                    .collect();
+                AssembledBlock::new(&positions, &block.decisions, entities, block.stats)
+            })
+            .collect();
+        assemble_repair(relation, blocks, self.threads)
     }
 
     /// Locate the block and entity owning a row id.
@@ -363,10 +395,9 @@ impl SnapshotDelta {
 }
 
 /// Assemble a full [`RelationRepair`] from a map of block views — the
-/// composition counterpart of the engine's own snapshot assembly, and
-/// bit-identical to it: every live row belongs to exactly one block, row
-/// order is ascending id, and the shared `assemble_repair` (the same routine
-/// behind the engine's `snapshot()`) puts blocks and entities into the
+/// composition counterpart of [`Epoch::snapshot`], and bit-identical to it:
+/// every live row belongs to exactly one block, row order is ascending id,
+/// and the same `assemble_repair` puts blocks and entities into the
 /// canonical order.
 pub fn assemble_views(
     schema: SchemaRef,
@@ -386,33 +417,120 @@ pub fn assemble_views(
             .push_row(tuple.values().to_vec())
             .expect("pinned rows conform to the schema");
     }
-    let blocks: Vec<AssembledBlock> = views
+    let blocks = views
         .values()
-        .map(|v| AssembledBlock {
-            first_row: v.rows.first().map_or(usize::MAX, |(id, _)| pos_of[id]),
-            decisions: v
-                .decisions
-                .iter()
-                .map(|d| MatchDecision {
-                    left: pos_of[&v.rows[d.left].0],
-                    right: pos_of[&v.rows[d.right].0],
-                    similarity: d.similarity,
-                    matched: d.matched,
-                    pruned: d.pruned,
-                })
-                .collect(),
-            entities: v
+        .map(|v| {
+            let positions: Vec<usize> = v.rows.iter().map(|(id, _)| pos_of[id]).collect();
+            let entities = v
                 .entities
                 .iter()
                 .map(|ev| {
-                    let members: Vec<usize> = ev.records.iter().map(|id| pos_of[id]).collect();
+                    let members = ev.records.iter().map(|id| pos_of[id]).collect();
                     (members, ev.result.clone())
                 })
-                .collect(),
-            stats: v.stats,
+                .collect();
+            AssembledBlock::new(&positions, &v.decisions, entities, v.stats)
         })
         .collect();
     assemble_repair(relation, blocks, threads)
+}
+
+/// One block with all indices rebased to row positions of the relation
+/// being assembled.
+#[derive(Debug)]
+struct AssembledBlock {
+    /// Smallest member row position — the block's canonical sort key.
+    first_row: usize,
+    /// The block's pairwise match decisions over rebased row positions.
+    decisions: Vec<MatchDecision>,
+    /// The block's entities: rebased member positions (ascending) plus the
+    /// cached repair result.
+    entities: Vec<(Vec<usize>, EntityResult)>,
+    /// Cascade counters of the block's resolution.
+    stats: ResolveStats,
+}
+
+impl AssembledBlock {
+    /// A block whose local row `i` sits at relation position `positions[i]`;
+    /// `entities` already hold rebased members.
+    fn new(
+        positions: &[usize],
+        decisions: &[MatchDecision],
+        entities: Vec<(Vec<usize>, EntityResult)>,
+        stats: ResolveStats,
+    ) -> Self {
+        let decisions = decisions
+            .iter()
+            .map(|d| MatchDecision {
+                left: positions[d.left],
+                right: positions[d.right],
+                ..*d
+            })
+            .collect();
+        AssembledBlock {
+            first_row: positions.first().copied().unwrap_or(usize::MAX),
+            decisions,
+            entities,
+            stats,
+        }
+    }
+}
+
+/// Assemble a [`RelationRepair`] over `relation` from blocks whose indices
+/// are row positions of `relation`.
+///
+/// Reproduces the canonical order of the full pipeline: blocks in ascending
+/// smallest-member order (like `Blocker::blocks`), entities re-sorted by
+/// ascending smallest member globally (like the first-seen union-find
+/// collection), rows materialized through the shared [`materialize_rows`]
+/// policy.  Shared by [`Epoch::snapshot`] and [`assemble_views`], so both
+/// emit bit-identical repairs.
+fn assemble_repair(
+    relation: Relation,
+    mut blocks: Vec<AssembledBlock>,
+    threads: usize,
+) -> RelationRepair {
+    let schema = relation.schema().clone();
+    blocks.sort_by_key(|b| b.first_row);
+
+    let mut decisions: Vec<MatchDecision> = Vec::new();
+    let mut assembled: Vec<(Vec<usize>, EntityResult)> = Vec::new();
+    let mut stats = ResolveStats::default();
+    for block in blocks {
+        decisions.extend(block.decisions);
+        assembled.extend(block.entities);
+        stats.merge(&block.stats);
+    }
+    // global entity order: ascending smallest member
+    assembled.sort_by_key(|(members, _)| members.first().copied().unwrap_or(usize::MAX));
+
+    let mut entities = Vec::with_capacity(assembled.len());
+    let mut members = Vec::with_capacity(assembled.len());
+    let mut results = Vec::with_capacity(assembled.len());
+    for (idx, (member_rows, mut result)) in assembled.into_iter().enumerate() {
+        let mut instance = EntityInstance::new(schema.clone());
+        for &row in &member_rows {
+            instance
+                .push_tuple(relation.rows()[row].clone())
+                .expect("rows conform to their own schema");
+        }
+        entities.push(instance);
+        result.entity = idx;
+        result.records = member_rows.clone();
+        members.push(member_rows);
+        results.push(result);
+    }
+
+    let threads = effective_threads(threads, results.len());
+    let report = BatchReport::from_entities(results, threads);
+    let (repaired, row_entities, skipped) = materialize_rows(&schema, &report, &entities);
+    RelationRepair {
+        resolved: ResolvedEntities::from_parts(entities, members, decisions, stats),
+        report,
+        repaired,
+        row_entities,
+        skipped,
+    }
 }
 
 /// The shared publish/pin rendezvous between one engine (the single writer)

@@ -14,25 +14,28 @@
 //!   **dirty blocks** — blocking partitions the records and resolution never
 //!   merges across blocks, so entities are per-block objects and only dirty
 //!   blocks can change;
-//! * dirty blocks are re-resolved locally and their entities re-repaired in
-//!   **one** [`BatchEngine::run`] over the existing worker pool; every clean
-//!   block keeps its cached per-entity results.  A re-resolution reuses the
-//!   cached match decision of every pair whose two rows survived and
-//!   compares only the pairs an insert created
-//!   ([`relacc_resolve::resolve_block`]);
+//! * each live dirty block is re-repaired by **one** job on the worker pool:
+//!   [`relacc_resolve::resolve_block`] against the block's cached repair,
+//!   which copies the match decision of every pair whose two rows survived
+//!   and compares only the pairs an insert created, then the chase and
+//!   suggestion search of each of the block's entities.  The job returns a
+//!   fresh block repair that replaces the cached one whole; every clean block
+//!   keeps its cached repair.  The seed repair is the same job with no cache;
 //! * master-data **appends** evolve the compiled plan in place
-//!   ([`relacc_core::chase::ChasePlan::apply_master_delta`] — monotone: new
-//!   form-(2) steps are
-//!   only added) and re-repair exactly the entities the new steps can touch:
-//!   by chase monotonicity, a new step with premise `te[A] = c` can never
-//!   fire for an entity whose deduced `te[A]` is a different constant, and an
-//!   assignment equal to an already-deduced value is a no-op, so entities
-//!   failing both tests keep their cached results verbatim.  Master deletes
-//!   (like rule changes) are not monotone and invalidate to a recompile,
-//!   which re-repairs everything under a fresh plan identity.
+//!   ([`relacc_core::chase::ChasePlan::ground_master_delta`], then
+//!   [`relacc_core::chase::ChasePlan::adopt_master_delta`] — monotone: new
+//!   form-(2) steps are only added) and re-repair exactly the blocks whose
+//!   entities the new steps can touch: by chase monotonicity, a new step with
+//!   premise `te[A] = c` can never fire for an entity whose deduced `te[A]`
+//!   is a different constant, and an assignment equal to an already-deduced
+//!   value is a no-op, so entities failing both tests keep their cached
+//!   results verbatim.  Their rows did not change, so the job copies every
+//!   match decision and only the chase re-runs.  Master deletes (like rule
+//!   changes) are not monotone and invalidate to a recompile, which
+//!   re-repairs every block the same way under a fresh plan identity.
 //!
-//! [`IncrementalEngine::snapshot`] reassembles a [`RelationRepair`] that is
-//! **semantically identical** to a from-scratch
+//! [`IncrementalEngine::snapshot`] is the current epoch's [`Epoch::snapshot`]:
+//! a [`RelationRepair`] that is **semantically identical** to a from-scratch
 //! [`BatchEngine::repair_relation`] over the current relation state: same
 //! entities in the same order, same outcomes/targets/suggestions, same match
 //! decisions, same repaired rows (the row-materialization policy is shared
@@ -41,45 +44,45 @@
 //! incrementality.  The equivalence is enforced by
 //! `tests/incremental_differential.rs` at the workspace root.
 
-use crate::batch::EntityOutcome;
-use crate::batch::{materialize_rows, BatchEngine, BatchReport, EntityResult, RelationRepair};
+use crate::batch::{BatchEngine, EntityOutcome, EntityResult, RelationRepair};
 use crate::epoch::{Epoch, EpochHub, EpochId, SnapshotDelta};
-use crate::pool::{effective_threads, par_map_with};
+use crate::pool::par_map_with;
 use relacc_core::chase::{
-    GroundStep, MasterUpdate, PendingPred, PlanDeltaError, PlanStamp, StepAction,
+    ChasePlan, ChaseScratch, GroundStep, MasterUpdate, PendingPred, PlanDeltaError,
+    SpecificationError, StepAction,
 };
-use relacc_model::{EntityInstance, SchemaRef, TargetTuple, Tuple, Value};
+use relacc_model::{EntityInstance, MasterRelation, TargetTuple, Tuple, Value};
 use relacc_resolve::{
-    resolve_block, BlockKey, BlockResolution, BlockWork, Blocker, IncrementalBlockingIndex,
-    MatchDecision, PriorBlock, RecordFingerprint, ResolveConfig, ResolveStats, ResolvedEntities,
+    resolve_block, BlockKey, BlockWork, Blocker, IncrementalBlockingIndex, MatchDecision,
+    PriorBlock, RecordFingerprint, ResolveConfig, ResolveStats,
 };
 use relacc_store::{Generation, Relation, RowId, UpdateBatch, UpdateError, VersionedRelation};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// The cached repair of one block: its rows (in snapshot order at repair
-/// time), the local resolution output and the per-entity results, all under
-/// block-local indices; [`IncrementalEngine::snapshot`] rebases them to
-/// relation row positions.
+/// The cached repair of one block: its rows, the local resolution output and
+/// the per-entity results, all under block-local indices;
+/// [`Epoch::snapshot`] rebases them to relation row positions.
 ///
-/// Cached per block behind an `Arc`: published epochs pin the same
-/// allocation, and the engine copies a block on write only while an epoch
-/// actually shares it.  All cached repairs are valid under one engine-level
-/// [`PlanStamp`] — every mutation path re-repairs or revalidates *all* live
-/// blocks before returning, so the stamp lives on the engine, not per block.
+/// Cached per block behind an `Arc` that published epochs pin too.  A block
+/// repair is never written after it is built: a re-repair inserts a fresh
+/// one, so an epoch that pins the old allocation keeps seeing it unchanged.
+/// Every mutation path re-repairs or revalidates *all* live blocks before
+/// returning, so all cached repairs are valid under the plan's current
+/// stamp.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockRepair {
-    /// The block's live rows at repair time, in snapshot order.
+    /// The block's live rows at repair time, ascending.
     pub(crate) rows: Vec<RowId>,
     /// Pairwise match decisions, with indices local to `rows`: the full
-    /// row-major upper triangle, which the next re-resolution of the block
+    /// row-major upper triangle, which the next re-repair of the block
     /// reuses for its surviving pairs.
     pub(crate) decisions: Vec<MatchDecision>,
     /// The block's entities in ascending-smallest-member order.
     pub(crate) entities: Vec<BlockEntity>,
-    /// Fingerprints of `rows` (parallel), reused verbatim across
-    /// re-resolutions so steady-state streaming only fingerprints inserted
-    /// rows.  Empty when the resolve config runs without the cascade.
+    /// Fingerprints of `rows` (parallel), reused verbatim by the next
+    /// re-repair so steady-state streaming only fingerprints inserted rows.
+    /// Empty when the resolve config runs without the cascade.
     pub(crate) fingerprints: Vec<RecordFingerprint>,
     /// Cascade counters of the resolution that produced `decisions`.
     pub(crate) stats: ResolveStats,
@@ -94,136 +97,13 @@ pub(crate) struct BlockEntity {
     pub(crate) result: EntityResult,
 }
 
-/// One dirty block's re-repair input, self-contained (rows cloned out of the
-/// relation, previous repair pinned by `Arc`): the unit of the block-level
-/// work list.  Jobs borrow nothing from the engine, so the pool's dynamic
-/// loop hands whole blocks to whichever worker is free.
-#[derive(Debug)]
-struct BlockJob {
-    /// The block's key.
-    key: BlockKey,
-    /// The block's live rows at prepare time, in snapshot order.
-    row_ids: Vec<RowId>,
-    /// The tuples of `row_ids` (parallel).
-    rows: Vec<Tuple>,
-    /// The block's previous repair, when cached (decision and fingerprint
-    /// reuse on the re-resolve path; the member partition on the
-    /// cached-resolution path).
-    cached: Option<Arc<BlockRepair>>,
-    /// Re-resolve membership (row updates) or reuse the cached resolution
-    /// and re-run only the chase (master deltas)?
-    reresolve: bool,
-}
-
-/// Stage-1 output of a re-repair (see
-/// [`IncrementalEngine::prepare_rerepair`]): the dirty keys, their
-/// self-contained jobs, and the membership-derived outcome counters.
-#[derive(Debug)]
-struct PreparedRepair {
-    /// The dirty block keys (including ones whose block was dropped).
-    dirty: BTreeSet<BlockKey>,
-    /// One job per dirty block that still has live rows, in ascending key
-    /// order.
-    jobs: Vec<BlockJob>,
-    /// Blocks that lost their last live row and were dropped from the cache.
-    dropped_blocks: usize,
-    /// Live blocks whose cached repair is reused untouched.
-    clean_blocks: usize,
-    /// Entities of the clean blocks.
-    entities_reused: usize,
-}
-
-/// Stage-2 output for one [`BlockJob`]: the block's (fresh or reused)
-/// resolution plus the entity instances to chase.  The instances are drained
-/// into one flat chase batch before stage 3; `entity_count` survives the
-/// drain so stage 4 can split the chase results back per job.
-#[derive(Debug)]
-struct ResolvedJob {
-    /// The block's fresh resolution (`None` on the cached-resolution path,
-    /// which updates results copy-on-write instead).
-    fresh: Option<BlockResolution>,
-    /// The block's entity instances, in block-entity order.
-    entities: Vec<EntityInstance>,
-    /// `entities.len()` at resolution time.
-    entity_count: usize,
-}
-
-/// Stage 2 of a re-repair: resolve every job's block **in parallel at block
-/// granularity** over the shared pool.  Per-block resolution is a pure
-/// function of the job (rows + cached resolution + config), so the output
-/// is identical at every thread count and the pool's dynamic loop can hand
-/// blocks to whichever worker is free.
-fn resolve_block_jobs(
-    jobs: &[BlockJob],
-    resolve: &ResolveConfig,
-    schema: &SchemaRef,
-    threads: usize,
-) -> Vec<ResolvedJob> {
-    let similarity_attrs = resolve.similarity_attrs(schema);
-    let threads = effective_threads(threads, jobs.len());
-    par_map_with(
-        jobs,
-        threads,
-        || (),
-        |_, _, job| resolve_one_job(job, resolve, &similarity_attrs, schema),
-    )
-}
-
-/// Resolve one block job (see [`resolve_block_jobs`]).  A re-resolved
-/// block hands its cached repair to [`resolve_block`] as the prior, so only
-/// the pairs with an inserted row are compared (the seed repair and new
-/// blocks have no prior and compare every pair); a plan-delta job reuses
-/// the cached member partition outright.
-fn resolve_one_job(
-    job: &BlockJob,
-    resolve: &ResolveConfig,
-    similarity_attrs: &[relacc_model::AttrId],
-    schema: &SchemaRef,
-) -> ResolvedJob {
-    let cached = job.cached.as_deref();
-    let fresh = job.reresolve.then(|| {
-        let prior = cached.map(|b| PriorBlock {
-            rows: &b.rows,
-            decisions: &b.decisions,
-            fingerprints: &b.fingerprints,
-        });
-        resolve_block(&job.rows, &job.row_ids, similarity_attrs, resolve, prior)
-    });
-    let members: Vec<&[usize]> = match &fresh {
-        Some(fresh) => fresh.members.iter().map(Vec::as_slice).collect(),
-        None => cached
-            .expect("plan-delta dirty blocks are cached")
-            .entities
-            .iter()
-            .map(|be| be.members.as_slice())
-            .collect(),
-    };
-    let entities: Vec<EntityInstance> = members
-        .iter()
-        .map(|positions| {
-            let mut instance = EntityInstance::new(schema.clone());
-            for &pos in *positions {
-                instance
-                    .push_tuple(job.rows[pos].clone())
-                    .expect("live rows conform to the schema");
-            }
-            instance
-        })
-        .collect();
-    ResolvedJob {
-        entity_count: entities.len(),
-        fresh,
-        entities,
-    }
-}
-
 /// What one applied update did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdateOutcome {
     /// The relation generation after the update (unchanged for pure master
     /// deltas).
     pub generation: Generation,
-    /// Blocks that were re-repaired (for row updates also re-resolved).
+    /// Blocks that were re-repaired.
     pub dirty_blocks: usize,
     /// Blocks that lost their last live row and were dropped from the cache.
     pub dropped_blocks: usize,
@@ -250,16 +130,16 @@ pub struct IncrementalStats {
     /// Total entities reused from cache across all updates.
     pub entities_reused: usize,
     /// Rows fingerprinted for the resolution cascade (initial repair plus
-    /// every row inserted into a re-resolved block).
+    /// every row inserted into a re-repaired block).
     pub rows_fingerprinted: usize,
-    /// Rows whose cached fingerprint was reused during a block
-    /// re-resolution — the steady-state streaming case.
+    /// Rows of a re-repaired block whose cached fingerprint was reused: the
+    /// block's surviving rows, which after a master delta are all its rows.
     pub fingerprints_reused: usize,
     /// Row pairs decided by the resolution cascade (initial repair plus
-    /// every pair with a row inserted into a re-resolved block).
+    /// every pair with a row inserted into a re-repaired block).
     pub pairs_compared: usize,
-    /// Row pairs of a re-resolved block whose cached decision was reused
-    /// because both rows survived.
+    /// Row pairs of a re-repaired block whose cached decision was reused
+    /// because both rows survived: after a master delta, all its pairs.
     pub pairs_reused: usize,
 }
 
@@ -281,6 +161,9 @@ pub enum IncrementalError {
     Update(UpdateError),
     /// A master delta failed.
     Plan(PlanDeltaError),
+    /// The plan recompile of [`IncrementalEngine::replace_masters`] failed:
+    /// the rules do not validate against the replacement master data.
+    Recompile(SpecificationError),
 }
 
 impl std::fmt::Display for IncrementalError {
@@ -288,6 +171,7 @@ impl std::fmt::Display for IncrementalError {
         match self {
             IncrementalError::Update(e) => write!(f, "update rejected: {e}"),
             IncrementalError::Plan(e) => write!(f, "master delta rejected: {e}"),
+            IncrementalError::Recompile(e) => write!(f, "master replacement rejected: {e}"),
         }
     }
 }
@@ -312,14 +196,11 @@ impl From<PlanDeltaError> for IncrementalError {
 pub struct IncrementalEngine {
     engine: BatchEngine,
     resolve: ResolveConfig,
-    /// Catalog-entry name updates must address.
+    /// Name of the relation that updates must address.
     name: String,
     relation: VersionedRelation,
     index: IncrementalBlockingIndex,
     blocks: HashMap<BlockKey, Arc<BlockRepair>>,
-    /// Plan state every cached block repair is valid under (see
-    /// [`BlockRepair`]): refreshed at the end of each re-repair.
-    stamp: PlanStamp,
     /// Shared blocker for epoch point reads (identical to the index's own).
     blocker: Arc<Blocker>,
     /// The publish/pin rendezvous with concurrent readers.
@@ -328,9 +209,9 @@ pub struct IncrementalEngine {
 }
 
 impl IncrementalEngine {
-    /// Open an engine over the seed state of a relation (registered under
-    /// `name`, the catalog entry its [`UpdateBatch`]es must address) and run
-    /// the initial full repair.
+    /// Open an engine over the seed state of a relation (named `name`, the
+    /// name its [`UpdateBatch`]es must address) and run the initial full
+    /// repair.
     pub fn open(
         engine: BatchEngine,
         name: impl Into<String>,
@@ -343,7 +224,6 @@ impl IncrementalEngine {
             blocker.clone(),
             versioned.rows().iter().map(|r| (r.id, &r.tuple)),
         );
-        let stamp = engine.plan().stamp();
         let mut this = IncrementalEngine {
             engine,
             resolve,
@@ -351,7 +231,6 @@ impl IncrementalEngine {
             relation: versioned,
             index,
             blocks: HashMap::new(),
-            stamp,
             blocker: Arc::new(blocker),
             hub: EpochHub::new(),
             stats: IncrementalStats::default(),
@@ -362,7 +241,7 @@ impl IncrementalEngine {
             .block_members()
             .map(|(key, _)| key.clone())
             .collect();
-        this.rerepair(all, true);
+        this.rerepair(all);
         this
     }
 
@@ -406,12 +285,12 @@ impl IncrementalEngine {
             inserted.iter().map(|(id, tuple)| (*id, tuple)),
         );
         self.stats.batches_applied += 1;
-        Ok(self.rerepair(dirty.blocks, true))
+        Ok(self.rerepair(dirty.blocks))
     }
 
     /// Append rows to master relation `master`, evolving the compiled plan in
-    /// place, and re-repair only the entities the new form-(2) steps can
-    /// affect (see the module docs for why the filter is exact).
+    /// place, and re-repair only the blocks with an entity the new form-(2)
+    /// steps can affect (see the module docs for why the filter is exact).
     pub fn apply_master_append(
         &mut self,
         master: usize,
@@ -422,207 +301,139 @@ impl IncrementalEngine {
         plan.adopt_master_delta(&delta)?;
         self.stats.master_deltas_applied += 1;
         let new_steps: &[GroundStep] = delta.steps().as_slice();
-        let mut dirty: BTreeSet<BlockKey> = BTreeSet::new();
-        for (key, repair) in &self.blocks {
-            // unaffected blocks keep their cached results verbatim (even the
-            // allocation: published epochs share it); the engine-level stamp
-            // revalidates them wholesale at the end of the re-repair
-            let affected = !new_steps.is_empty()
-                && repair
-                    .entities
-                    .iter()
-                    .any(|be| step_set_may_affect(new_steps, &be.result));
-            if affected {
-                dirty.insert(key.clone());
-            }
-        }
-        // block membership is untouched by a master delta: reuse the cached
-        // resolution (members + match decisions) and re-run only the chase
-        Ok(self.rerepair(dirty, false))
+        // unaffected blocks keep their cached results verbatim (even the
+        // allocation: published epochs share it); the plan's new stamp
+        // revalidates them wholesale
+        let dirty: BTreeSet<BlockKey> = self
+            .blocks
+            .iter()
+            .filter(|(_, repair)| {
+                !new_steps.is_empty()
+                    && repair
+                        .entities
+                        .iter()
+                        .any(|be| step_set_may_affect(new_steps, &be.result))
+            })
+            .map(|(key, _)| key.clone())
+            .collect();
+        Ok(self.rerepair(dirty))
     }
 
     /// Replace the plan's master data wholesale (the non-monotone path:
     /// deletions or arbitrary edits).  The plan is recompiled — fresh
     /// identity, so every cached checkpoint and block result is stale — and
-    /// the whole relation is re-repaired.
+    /// the whole relation is re-repaired.  When the rules do not validate
+    /// against `masters`, the engine is left as it was.
     pub fn replace_masters(
         &mut self,
-        masters: Vec<relacc_model::MasterRelation>,
+        masters: Vec<MasterRelation>,
     ) -> Result<UpdateOutcome, IncrementalError> {
         let plan = self.engine.plan();
-        let recompiled = relacc_core::chase::ChasePlan::compile(
-            plan.schema().clone(),
-            (**plan.rules()).clone(),
-            masters,
-        )
-        .map_err(|_| IncrementalError::Plan(PlanDeltaError::RequiresRecompile))?;
+        let recompiled =
+            ChasePlan::compile(plan.schema().clone(), (**plan.rules()).clone(), masters)
+                .map_err(IncrementalError::Recompile)?;
         let config = self.engine.config().clone();
         self.engine = BatchEngine::from_plan(recompiled).with_config(config);
         self.stats.recompiles += 1;
         let all: BTreeSet<BlockKey> = self.blocks.keys().cloned().collect();
-        // rows are untouched, so the cached resolution stays valid here too
-        let mut outcome = self.rerepair(all, false);
-        outcome.generation = self.relation.generation();
-        Ok(outcome)
+        Ok(self.rerepair(all))
     }
 
-    /// Re-repair the given blocks; everything else keeps its cached repair.
-    /// Blocks that no longer have live rows are dropped.
+    /// Re-repair the given blocks and publish an epoch; every other block
+    /// keeps its cached repair, and blocks that no longer have live rows are
+    /// dropped.
     ///
-    /// With `reresolve` the dirty blocks are re-resolved first (the row-update
-    /// path: membership changed).  Without it the cached resolution — member
-    /// partition and match decisions — is reused and only the chase re-runs
-    /// (the master-delta paths: rows are untouched, and match decisions
-    /// depend only on row contents, never on the plan).
-    ///
-    /// The stages: prepare self-contained jobs, resolve them block-parallel,
-    /// chase every dirty entity in one pooled run, then commit the results
-    /// and publish an epoch.
-    fn rerepair(&mut self, dirty: BTreeSet<BlockKey>, reresolve: bool) -> UpdateOutcome {
-        let prepared = self.prepare_rerepair(dirty, reresolve);
-        let mut resolved = resolve_block_jobs(
-            &prepared.jobs,
-            &self.resolve,
-            self.relation.schema(),
-            self.engine.config().threads,
-        );
-        let mut batch_entities: Vec<EntityInstance> = Vec::new();
-        for job in &mut resolved {
-            batch_entities.append(&mut job.entities);
-        }
-        let report: BatchReport = self.engine.run_owned(batch_entities);
-        self.commit_rerepair(prepared, resolved, &report.entities)
-    }
-
-    /// Stage 1 of a re-repair: snapshot every dirty block into a
-    /// self-contained [`BlockJob`] (rows cloned, cached repair pinned), drop
-    /// blocks that lost their last live row, and pre-compute the
-    /// membership-derived outcome counters.  Cheap and sequential — the
-    /// index's member lists name each dirty block's rows, so the cost is the
-    /// dirty rows, not the relation.
-    fn prepare_rerepair(&mut self, dirty: BTreeSet<BlockKey>, reresolve: bool) -> PreparedRepair {
-        let mut dropped_blocks = 0usize;
-        let mut jobs: Vec<BlockJob> = Vec::new();
+    /// One pool job per live dirty block reads the block's rows, resolves
+    /// them against the block's cached repair and chases the resulting
+    /// entities with the worker's scratch and interner.  A job is a pure
+    /// function of the block's rows, its cached repair and the plan, so the
+    /// output is identical at every thread count; the pool hands whole
+    /// blocks to whichever worker is free.
+    fn rerepair(&mut self, dirty: BTreeSet<BlockKey>) -> UpdateOutcome {
+        let mut live: Vec<&BlockKey> = Vec::with_capacity(dirty.len());
         for key in &dirty {
-            let Some(members) = self.index.members(key) else {
+            if self.index.members(key).is_some() {
+                live.push(key);
+            } else {
                 self.blocks.remove(key);
-                dropped_blocks += 1;
-                continue;
-            };
-            let row_ids = members.to_vec();
-            let rows = row_ids
-                .iter()
-                .map(|&id| {
-                    let row = self.relation.row(id).expect("indexed rows are live");
-                    row.tuple.clone()
-                })
-                .collect::<Vec<_>>();
-            let cached = self.blocks.get(key).cloned();
-            if !reresolve {
-                let repair = cached.as_ref().expect("plan-delta dirty blocks are cached");
-                debug_assert_eq!(repair.rows.len(), rows.len(), "membership drifted");
-            }
-            jobs.push(BlockJob {
-                key: key.clone(),
-                row_ids,
-                rows,
-                cached,
-                reresolve,
-            });
-        }
-        let alive_dirty = dirty.len() - dropped_blocks;
-        let clean_blocks = self.index.blocks() - alive_dirty;
-        // every clean block is live and cached, and dropped blocks are gone
-        let entities_reused: usize = self
-            .blocks
-            .iter()
-            .filter(|(key, _)| !dirty.contains(*key))
-            .map(|(_, b)| b.entities.len())
-            .sum();
-        PreparedRepair {
-            dirty,
-            jobs,
-            dropped_blocks,
-            clean_blocks,
-            entities_reused,
-        }
-    }
-
-    /// Stage 4 of a re-repair: write the per-block results back into the
-    /// cache (fresh resolutions replace the entry; cached-resolution blocks
-    /// are updated copy-on-write), refresh the engine stamp, publish the
-    /// epoch and account the outcome.  `results` holds the chase results
-    /// flattened in job order — exactly `resolved[i].entity_count` entries
-    /// per job.  Jobs are in ascending block-key order, so the cache writes
-    /// are too.
-    fn commit_rerepair(
-        &mut self,
-        prepared: PreparedRepair,
-        resolved: Vec<ResolvedJob>,
-        results: &[EntityResult],
-    ) -> UpdateOutcome {
-        let PreparedRepair {
-            dirty,
-            jobs,
-            dropped_blocks,
-            clean_blocks,
-            entities_reused,
-        } = prepared;
-        debug_assert_eq!(jobs.len(), resolved.len(), "job/resolution mismatch");
-        let entities_rerepaired = results.len();
-        let mut cursor = 0usize;
-        for (job, rjob) in jobs.into_iter().zip(resolved) {
-            let results = &results[cursor..cursor + rjob.entity_count];
-            cursor += rjob.entity_count;
-            match rjob.fresh {
-                Some(fresh) => {
-                    self.stats.add_work(&fresh.work);
-                    let entities = fresh
-                        .members
-                        .into_iter()
-                        .zip(results.iter())
-                        .map(|(members, result)| BlockEntity {
-                            members,
-                            result: result.clone(),
-                        })
-                        .collect();
-                    self.blocks.insert(
-                        job.key,
-                        Arc::new(BlockRepair {
-                            rows: job.row_ids,
-                            decisions: fresh.decisions,
-                            entities,
-                            fingerprints: fresh.fingerprints,
-                            stats: fresh.stats,
-                        }),
-                    );
-                }
-                None => {
-                    // copy-on-write: clones the block only while a published
-                    // epoch still pins the old allocation
-                    let repair =
-                        Arc::make_mut(self.blocks.get_mut(&job.key).expect("cached above"));
-                    for (be, result) in repair.entities.iter_mut().zip(results.iter()) {
-                        be.result = result.clone();
-                    }
-                }
             }
         }
-        debug_assert_eq!(cursor, results.len(), "chase results drifted from jobs");
-        self.stamp = self.engine.plan().stamp();
-        let dirty_blocks = dirty.len() - dropped_blocks;
-        self.publish(dirty);
+        let dropped_blocks = dirty.len() - live.len();
+        let (engine, resolve, relation, index, cached) = (
+            &self.engine,
+            &self.resolve,
+            &self.relation,
+            &self.index,
+            &self.blocks,
+        );
+        let schema = relation.schema();
+        let attrs = resolve.similarity_attrs(schema);
+        let repairs = par_map_with(
+            &live,
+            engine.config().threads,
+            || (ChaseScratch::new(), engine.plan().fork_interner()),
+            |(scratch, interner), _, key| {
+                let ids = index.members(key).expect("live blocks have members");
+                let rows: Vec<Tuple> = ids
+                    .iter()
+                    .map(|&id| {
+                        let row = relation.row(id).expect("indexed rows are live");
+                        row.tuple.clone()
+                    })
+                    .collect();
+                let prior = cached.get(*key).map(|b| PriorBlock {
+                    rows: &b.rows,
+                    decisions: &b.decisions,
+                    fingerprints: &b.fingerprints,
+                });
+                let resolved = resolve_block(&rows, ids, &attrs, resolve, prior);
+                let entities = resolved
+                    .members
+                    .into_iter()
+                    .enumerate()
+                    .map(|(idx, members)| {
+                        let mut instance = EntityInstance::new(schema.clone());
+                        for &pos in &members {
+                            instance
+                                .push_tuple(rows[pos].clone())
+                                .expect("live rows conform to the schema");
+                        }
+                        interner.intern_instance(&mut instance);
+                        let result = engine.evaluate_entity(idx, &instance, scratch);
+                        BlockEntity { members, result }
+                    })
+                    .collect();
+                let repair = BlockRepair {
+                    rows: ids.to_vec(),
+                    decisions: resolved.decisions,
+                    entities,
+                    fingerprints: resolved.fingerprints,
+                    stats: resolved.stats,
+                };
+                (repair, resolved.work)
+            },
+        );
 
-        self.stats.entities_rerepaired += entities_rerepaired;
-        self.stats.entities_reused += entities_reused;
-        UpdateOutcome {
+        let mut entities_rerepaired = 0usize;
+        for (key, (repair, work)) in live.iter().zip(repairs) {
+            self.stats.add_work(&work);
+            entities_rerepaired += repair.entities.len();
+            self.blocks.insert((*key).clone(), Arc::new(repair));
+        }
+        // every live block is cached, and only live blocks are
+        let entities_reused = self.cached_entities() - entities_rerepaired;
+        let outcome = UpdateOutcome {
             generation: self.relation.generation(),
-            dirty_blocks,
+            dirty_blocks: live.len(),
             dropped_blocks,
-            clean_blocks,
+            clean_blocks: self.index.blocks() - live.len(),
             entities_rerepaired,
             entities_reused,
-        }
+        };
+        self.publish(dirty);
+        self.stats.entities_rerepaired += entities_rerepaired;
+        self.stats.entities_reused += entities_reused;
+        outcome
     }
 
     /// Publish the engine's current state as an immutable epoch: pinned
@@ -631,7 +442,7 @@ impl IncrementalEngine {
         self.hub.publish(Epoch {
             id: EpochId(0), // assigned by the hub
             generation: self.relation.generation(),
-            stamp: self.stamp,
+            stamp: self.engine.plan().stamp(),
             schema: self.relation.schema().clone(),
             blocker: Arc::clone(&self.blocker),
             threads: self.engine.config().threads,
@@ -667,58 +478,6 @@ impl IncrementalEngine {
         self.hub.set_retention(epochs);
     }
 
-    /// The cached repairs of every live block, rebased from block-local to
-    /// relation row positions, in no particular order: the input of
-    /// [`assemble_repair`].
-    fn assembled_blocks(&self) -> Vec<AssembledBlock> {
-        // rows are in ascending id order, so a row's position is its rank
-        let order: Vec<RowId> = self.relation.rows().iter().map(|r| r.id).collect();
-        let mut out = Vec::with_capacity(self.index.blocks());
-        for (key, members) in self.index.block_members() {
-            let repair = self
-                .blocks
-                .get(key)
-                .expect("every live block has a cached repair");
-            debug_assert_eq!(repair.rows, members, "stale block cache");
-            let positions: Vec<usize> = members
-                .iter()
-                .map(|id| order.binary_search(id).expect("indexed rows are live"))
-                .collect();
-            debug_assert_eq!(
-                self.stamp,
-                self.engine.plan().stamp(),
-                "block cache is stale relative to the plan — was the plan \
-                 mutated without going through apply_master_append?"
-            );
-            let decisions = repair
-                .decisions
-                .iter()
-                .map(|d| MatchDecision {
-                    left: positions[d.left],
-                    right: positions[d.right],
-                    similarity: d.similarity,
-                    matched: d.matched,
-                    pruned: d.pruned,
-                })
-                .collect();
-            let entities = repair
-                .entities
-                .iter()
-                .map(|be| {
-                    let members: Vec<usize> = be.members.iter().map(|&l| positions[l]).collect();
-                    (members, be.result.clone())
-                })
-                .collect();
-            out.push(AssembledBlock {
-                first_row: positions.first().copied().unwrap_or(usize::MAX),
-                decisions,
-                entities,
-                stats: repair.stats,
-            });
-        }
-        out
-    }
-
     /// Number of blocks with a live cached repair.
     pub fn cached_blocks(&self) -> usize {
         self.blocks.len()
@@ -729,92 +488,17 @@ impl IncrementalEngine {
         self.blocks.values().map(|b| b.entities.len()).sum()
     }
 
-    /// Assemble the current full [`RelationRepair`] from the per-block cache.
+    /// The current full [`RelationRepair`]: the current epoch's
+    /// [`Epoch::snapshot`].
     ///
     /// The output is semantically identical to
-    /// `BatchEngine::repair_relation(&self.relation.snapshot(), &resolve)`
+    /// `BatchEngine::repair_relation(&self.relation().snapshot(), &resolve)`
     /// under the engine's current plan: same entity order (ascending smallest
     /// member record), same outcomes, targets, suggestions, membership, match
     /// decisions, repaired rows and skip list.  Per-entity chase counters
     /// reflect the run that actually produced each cached result.
     pub fn snapshot(&self) -> RelationRepair {
-        let relation = self.relation.snapshot();
-        let blocks = self.assembled_blocks();
-        let threads = self.engine.config().threads;
-        assemble_repair(relation, blocks, threads)
-    }
-}
-
-/// One live block's cached repair with all indices rebased to row positions
-/// of the relation being assembled (see
-/// [`IncrementalEngine::assembled_blocks`]).
-#[derive(Debug, Clone)]
-pub(crate) struct AssembledBlock {
-    /// Smallest member row position — the block's canonical sort key.
-    pub(crate) first_row: usize,
-    /// The block's pairwise match decisions over rebased row positions.
-    pub(crate) decisions: Vec<MatchDecision>,
-    /// The block's entities: rebased member positions (ascending) plus the
-    /// cached repair result.
-    pub(crate) entities: Vec<(Vec<usize>, EntityResult)>,
-    /// Cascade counters of the block's cached resolution.
-    pub(crate) stats: ResolveStats,
-}
-
-/// Assemble a [`RelationRepair`] over `relation` from per-block cached
-/// repairs whose indices are row positions of `relation`.
-///
-/// Reproduces the canonical order of the full pipeline: blocks in ascending
-/// smallest-member order (like `Blocker::blocks`), entities re-sorted by
-/// ascending smallest member globally (like the first-seen union-find
-/// collection), rows materialized through the shared [`materialize_rows`]
-/// policy.  Shared by [`IncrementalEngine::snapshot`] and the epochs'
-/// [`crate::epoch::assemble_views`], so both emit bit-identical repairs.
-pub(crate) fn assemble_repair(
-    relation: Relation,
-    mut blocks: Vec<AssembledBlock>,
-    threads: usize,
-) -> RelationRepair {
-    let schema = relation.schema().clone();
-    blocks.sort_by_key(|b| b.first_row);
-
-    let mut decisions: Vec<MatchDecision> = Vec::new();
-    let mut assembled: Vec<(Vec<usize>, EntityResult)> = Vec::new();
-    let mut stats = ResolveStats::default();
-    for block in blocks {
-        decisions.extend(block.decisions);
-        assembled.extend(block.entities);
-        stats.merge(&block.stats);
-    }
-    // global entity order: ascending smallest member
-    assembled.sort_by_key(|(members, _)| members.first().copied().unwrap_or(usize::MAX));
-
-    let mut entities = Vec::with_capacity(assembled.len());
-    let mut members = Vec::with_capacity(assembled.len());
-    let mut results = Vec::with_capacity(assembled.len());
-    for (idx, (member_rows, mut result)) in assembled.into_iter().enumerate() {
-        let mut instance = EntityInstance::new(schema.clone());
-        for &row in &member_rows {
-            instance
-                .push_tuple(relation.rows()[row].clone())
-                .expect("rows conform to their own schema");
-        }
-        entities.push(instance);
-        result.entity = idx;
-        result.records = member_rows.clone();
-        members.push(member_rows);
-        results.push(result);
-    }
-
-    let threads = effective_threads(threads, results.len());
-    let report = BatchReport::from_entities(results, threads);
-    let (repaired, row_entities, skipped) = materialize_rows(&schema, &report, &entities);
-    RelationRepair {
-        resolved: ResolvedEntities::from_parts(entities, members, decisions, stats),
-        report,
-        repaired,
-        row_entities,
-        skipped,
+        self.current_epoch().snapshot()
     }
 }
 
@@ -1125,8 +809,9 @@ mod tests {
         assert_eq!(engine.stats().pairs_compared, 3);
         assert_eq!(engine.stats().pairs_reused, 2);
 
-        // master deltas reuse the cached resolution outright: no
-        // fingerprint or pair work at all
+        // a master delta leaves every row of its dirty block surviving: no
+        // fingerprint or pair is computed, and the one-row sp block it
+        // dirties reuses its one fingerprint (and its zero pairs)
         let before = engine.stats().clone();
         engine
             .apply_master_append(0, vec![vec![Value::text("sp"), Value::text("Blazers")]])
@@ -1134,7 +819,7 @@ mod tests {
         assert_eq!(engine.stats().rows_fingerprinted, before.rows_fingerprinted);
         assert_eq!(
             engine.stats().fingerprints_reused,
-            before.fingerprints_reused
+            before.fingerprints_reused + 1
         );
         assert_eq!(engine.stats().pairs_compared, before.pairs_compared);
         assert_eq!(engine.stats().pairs_reused, before.pairs_reused);
@@ -1221,6 +906,21 @@ mod tests {
         );
         assert_matches_full(&engine, "recompile");
         assert_eq!(engine.stats().recompiles, 1);
+    }
+
+    #[test]
+    fn a_failed_recompile_reports_its_error_and_changes_nothing() {
+        let mut engine = open_engine();
+        let epoch = engine.current_epoch().id();
+        let before = format!("{:?}", engine.snapshot());
+        // the master rule reads master 0, so an empty master list fails
+        // rule validation: the recompile itself is what failed
+        let err = engine.replace_masters(vec![]).unwrap_err();
+        assert!(matches!(err, IncrementalError::Recompile(_)), "{err}");
+        assert!(!err.to_string().contains("recompile the plan instead"));
+        assert_eq!(engine.current_epoch().id(), epoch);
+        assert_eq!(format!("{:?}", engine.snapshot()), before);
+        assert_eq!(engine.stats().recompiles, 0);
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! * [`IncrementalEngine`] — keep a repaired snapshot live under a stream of
 //!   typed [`relacc_store::UpdateBatch`]es and master-data appends,
 //!   re-repairing only the dirty entities of each update ("one workload,
-//!   many versions"); dirty blocks are resolved and chased block-parallel
-//!   over the one worker pool;
+//!   many versions"); each dirty block is resolved and chased by one job on
+//!   the worker pool;
 //! * [`EntitySession`] — ground-once state for the interactive framework
 //!   (`relacc_framework::run_session` opens one per session and reuses its
 //!   `Γ` across user rounds);

@@ -8,7 +8,7 @@
 //! passes its [`relacc_core::chase::ChaseScratch`] — and results are returned
 //! in input order regardless of completion order.  The incremental engine
 //! hands it one item per dirty block, so an idle worker simply pulls the
-//! next block and one large block cannot serialize a batch.
+//! next block.
 //!
 //! **`RELACC_POOL_THREADS`.**  When this environment variable holds a
 //! positive integer, it overrides every caller-requested thread count

@@ -849,6 +849,9 @@ pub fn epoch_error_of(code: ErrorCode, value: u64) -> Option<EpochError> {
 /// Bytes a [`FrameReader`] asks its stream for per read.
 const READ_CHUNK: usize = 16 * 1024;
 
+/// Buffer capacity a [`FrameReader`] keeps once its buffer is empty.
+const KEEP_CAPACITY: usize = 64 * 1024;
+
 /// Write one encoded frame to a stream and flush it.
 pub fn write_frame(w: &mut impl Write, message: &Message) -> io::Result<()> {
     w.write_all(&message.encode())?;
@@ -864,7 +867,9 @@ pub fn write_frame(w: &mut impl Write, message: &Message) -> io::Result<()> {
 /// The buffer holds only bytes actually received: a length prefix alone
 /// reserves nothing, so a peer that announces a large frame and stalls costs
 /// what it sent, not what it announced.  A prefix over the reader's limit is
-/// refused as soon as it arrives.
+/// refused as soon as it arrives.  Once the buffer is empty, capacity over
+/// 64 KiB (left by a large frame) is released, so a client does not hold
+/// its largest frame's memory for the life of the connection.
 #[derive(Debug)]
 pub struct FrameReader {
     /// Received bytes not yet returned as a frame, length prefix included.
@@ -923,6 +928,9 @@ impl FrameReader {
                 if self.buf.len() >= end {
                     let payload = self.buf[4..end].to_vec();
                     self.buf.drain(..end);
+                    if self.buf.is_empty() && self.buf.capacity() > KEEP_CAPACITY {
+                        self.buf = Vec::new();
+                    }
                     return Ok(Poll::Frame(payload));
                 }
             }
@@ -1652,6 +1660,23 @@ mod tests {
         assert!(
             reader.buf.capacity() < 64 * 1024,
             "a bare header made the reader hold {} bytes",
+            reader.buf.capacity()
+        );
+    }
+
+    #[test]
+    fn frame_reader_releases_a_large_frame_buffer() {
+        let payload = vec![0x5A; 1 << 20];
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&payload);
+        let mut reader = FrameReader::new();
+        match reader.poll(&mut io::Cursor::new(frame)) {
+            Ok(Poll::Frame(got)) => assert_eq!(got, payload),
+            other => panic!("expected the 1 MiB frame, got {other:?}"),
+        }
+        assert!(
+            reader.buf.capacity() <= 64 * 1024,
+            "the drained reader still holds {} bytes",
             reader.buf.capacity()
         );
     }

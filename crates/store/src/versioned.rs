@@ -13,10 +13,8 @@
 //!   [`UpdateBatch`] advances the generation, so downstream caches can tell
 //!   "unchanged since generation g" apart from "rebuilt".
 //!
-//! Updates are typed: an [`UpdateBatch`] names a catalog entry and carries
-//! inserts (validated rows) and deletes (row ids).  A [`VersionedCatalog`]
-//! routes batches to the named relation, mirroring [`crate::Catalog`] for the
-//! versioned world.
+//! Updates are typed: an [`UpdateBatch`] names the relation it addresses and
+//! carries inserts (validated rows) and deletes (row ids).
 //!
 //! **Row-id contract.** Ids are assigned sequentially from 0 in insertion
 //! order ([`VersionedRelation::from_relation`] stamps the seed rows
@@ -43,7 +41,7 @@
 
 use crate::relation::Relation;
 use relacc_model::{SchemaError, SchemaRef, Tuple, Value};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -78,14 +76,14 @@ pub struct VersionedRow {
     pub tuple: Tuple,
 }
 
-/// A typed batch of inserts and deletes against one catalog entry.
+/// A typed batch of inserts and deletes against one named relation.
 ///
 /// Within a batch, **deletes apply before inserts**: a batch can therefore
 /// never delete a row it inserts itself, and the ids of its inserts are
 /// assigned after all removals.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UpdateBatch {
-    /// Name of the target relation (a [`VersionedCatalog`] entry).
+    /// Name of the target relation, checked by the relation's owner.
     pub relation: String,
     /// Rows to insert (validated against the relation schema on apply).
     pub inserts: Vec<Vec<Value>>,
@@ -140,7 +138,7 @@ pub struct AppliedUpdate {
 /// Errors raised by versioned-relation operations.
 #[derive(Debug)]
 pub enum UpdateError {
-    /// The batch names a relation the catalog does not hold.
+    /// The batch names a relation other than the one it was applied to.
     NoSuchRelation(String),
     /// A delete names a row id that is not live (never existed, already
     /// deleted, or deleted twice within the batch).
@@ -497,7 +495,7 @@ impl VersionedRelation {
     /// Apply a batch of deletes-then-inserts, advancing the generation.
     ///
     /// The batch's `relation` name is **not** checked here (that is the
-    /// [`VersionedCatalog`]'s job); only its operations are.  On any error
+    /// owner's job); only its operations are.  On any error
     /// the relation is left exactly as it was — batches apply atomically.
     ///
     /// O(touched pages): a delete copies (if an epoch shares it) and edits
@@ -566,55 +564,6 @@ impl VersionedRelation {
                 Arc::make_mut(&mut pages[page].rows).extend(merged.rows.iter().cloned());
             }
         }
-    }
-}
-
-/// A named collection of versioned relations that routes [`UpdateBatch`]es.
-#[derive(Debug, Default, Clone)]
-pub struct VersionedCatalog {
-    relations: BTreeMap<String, VersionedRelation>,
-}
-
-impl VersionedCatalog {
-    /// An empty catalog.
-    pub fn new() -> Self {
-        VersionedCatalog::default()
-    }
-
-    /// Register (or replace) a relation under `name`.
-    pub fn register(&mut self, name: impl Into<String>, relation: VersionedRelation) {
-        self.relations.insert(name.into(), relation);
-    }
-
-    /// Get a relation by name.
-    pub fn get(&self, name: &str) -> Result<&VersionedRelation, UpdateError> {
-        self.relations
-            .get(name)
-            .ok_or_else(|| UpdateError::NoSuchRelation(name.to_string()))
-    }
-
-    /// Names of all registered relations (sorted).
-    pub fn names(&self) -> Vec<&str> {
-        self.relations.keys().map(String::as_str).collect()
-    }
-
-    /// Number of registered relations.
-    pub fn len(&self) -> usize {
-        self.relations.len()
-    }
-
-    /// True if the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.relations.is_empty()
-    }
-
-    /// Apply a batch to the relation it names.
-    pub fn apply(&mut self, batch: &UpdateBatch) -> Result<AppliedUpdate, UpdateError> {
-        let relation = self
-            .relations
-            .get_mut(&batch.relation)
-            .ok_or_else(|| UpdateError::NoSuchRelation(batch.relation.clone()))?;
-        relation.apply(batch)
     }
 }
 
@@ -805,27 +754,5 @@ mod tests {
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(ids.len(), v.len());
         assert_eq!(v.rows().iter().len(), v.len());
-    }
-
-    #[test]
-    fn catalog_routes_batches_by_name() {
-        let mut cat = VersionedCatalog::new();
-        cat.register("r", VersionedRelation::from_relation(&seed()));
-        let applied = cat
-            .apply(&UpdateBatch::new("r").insert(vec![Value::text("d"), Value::Int(4)]))
-            .unwrap();
-        assert_eq!(applied.inserted, vec![RowId(3)]);
-        assert_eq!(cat.get("r").unwrap().len(), 4);
-        assert!(matches!(
-            cat.apply(&UpdateBatch::new("nope")),
-            Err(UpdateError::NoSuchRelation(_))
-        ));
-        assert!(matches!(
-            cat.get("nope"),
-            Err(UpdateError::NoSuchRelation(_))
-        ));
-        assert_eq!(cat.names(), vec!["r"]);
-        assert!(!cat.is_empty());
-        assert_eq!(cat.len(), 1);
     }
 }

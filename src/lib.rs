@@ -16,7 +16,7 @@
 //! |---|---|---|
 //! | [`model`] | `relacc-model` | values, schemas, tuples, entity instances, master data, accuracy orders |
 //! | [`heap`] | `relacc-heap` | pairing heap and ranked value heaps |
-//! | [`store`] | `relacc-store` | in-memory relations, CSV, catalog |
+//! | [`store`] | `relacc-store` | in-memory relations, CSV, versioned relations |
 //! | [`resolve`] | `relacc-resolve` | entity resolution: similarity, blocking, clustering |
 //! | [`core`] | `relacc-core` | accuracy rules, the chase, Church-Rosser checking (IsCR), compile-once chase plans |
 //! | [`engine`] | `relacc-engine` | the compile-once / evaluate-many parallel batch engine |

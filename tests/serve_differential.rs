@@ -5,11 +5,18 @@
 //!
 //! This is the contract that lets a reader catch up from any retained
 //! generation by fetching only the changed blocks instead of the corpus.
+//! Along the way every commit is checked against its predecessor epoch: its
+//! dirty set (what a change feed unions) must equal the blocks the two
+//! epochs pin differently (what a feed resync diffs), and the predecessor's
+//! snapshot must not move.
 
 use relacc::datagen::streaming::{med_stream, StreamConfig, StreamOp, UpdateStream};
-use relacc::engine::{assemble_views, BatchEngine, EpochHub, IncrementalEngine, RelationRepair};
-use relacc::resolve::{BlockingStrategy, ResolveConfig};
+use relacc::engine::{
+    assemble_views, BatchEngine, Epoch, EpochHub, IncrementalEngine, RelationRepair,
+};
+use relacc::resolve::{BlockKey, BlockingStrategy, ResolveConfig};
 use relacc::store::Generation;
+use std::collections::BTreeSet;
 
 fn resolve_config(stream: &UpdateStream) -> ResolveConfig {
     ResolveConfig::on_attrs(stream.match_attrs.clone()).with_strategy(BlockingStrategy::ExactKey)
@@ -67,6 +74,22 @@ fn assert_bit_identical(composed: &RelationRepair, current: &RelationRepair, lab
     assert_eq!(composed.skipped, current.skipped, "{label}: skipped");
 }
 
+/// One commit published `next` after `previous`, whose snapshot was
+/// `frozen` before the commit.
+fn check_commit(previous: &Epoch, frozen: &RelationRepair, next: &Epoch, label: &str) {
+    let dirty: BTreeSet<BlockKey> = next.dirty_keys().cloned().collect();
+    assert_eq!(
+        dirty,
+        next.blocks_changed_since(previous),
+        "{label}: dirty keys against the blocks pinned differently"
+    );
+    assert_bit_identical(
+        &previous.snapshot(),
+        frozen,
+        &format!("{label}: previous epoch"),
+    );
+}
+
 /// Replay the stream, then catch up from every generation via
 /// `changes_since` and demand bit-identity with the current snapshot.
 fn check_catchup_from_every_generation(hub: &EpochHub, current: &RelationRepair, label: &str) {
@@ -99,7 +122,9 @@ fn composed_deltas_reproduce_the_current_snapshot_single() {
         resolve_config(&stream),
     );
     engine.set_epoch_retention(stream.ops.len() + 2);
-    for op in &stream.ops {
+    for (step, op) in stream.ops.iter().enumerate() {
+        let previous = engine.current_epoch();
+        let frozen = previous.snapshot();
         match op {
             StreamOp::Rows(batch) => {
                 engine.apply(batch).expect("scripted batches stay valid");
@@ -110,13 +135,18 @@ fn composed_deltas_reproduce_the_current_snapshot_single() {
                     .expect("scripted appends stay valid");
             }
         }
+        let label = format!("single/op-{step}");
+        check_commit(&previous, &frozen, &engine.current_epoch(), &label);
     }
+    // end on a recompile over the current masters: every block re-repaired
+    let previous = engine.current_epoch();
+    let frozen = previous.snapshot();
+    let masters = engine.engine().plan().masters().to_vec();
+    engine
+        .replace_masters(masters)
+        .expect("the current masters validate");
+    let label = "single/replace-masters";
+    check_commit(&previous, &frozen, &engine.current_epoch(), label);
     let current = engine.snapshot();
-    // the epoch view of "now" agrees with the engine's own snapshot
-    assert_bit_identical(
-        &engine.current_epoch().snapshot(),
-        &current,
-        "single/current-epoch",
-    );
     check_catchup_from_every_generation(&engine.epochs(), &current, "single");
 }
