@@ -243,7 +243,7 @@ impl Epoch {
                         (members, be.result.clone())
                     })
                     .collect();
-                AssembledBlock::new(&positions, &block.decisions, entities, block.stats)
+                AssembledBlock::new(&positions, block.decisions.iter(), entities, block.stats)
             })
             .collect();
         assemble_repair(relation, blocks, self.threads)
@@ -278,7 +278,7 @@ impl Epoch {
         BlockView {
             key: key.clone(),
             rows,
-            decisions: block.decisions.clone(),
+            decisions: block.decisions.iter().collect(),
             entities,
             stats: block.stats,
         }
@@ -429,7 +429,7 @@ pub fn assemble_views(
                     (members, ev.result.clone())
                 })
                 .collect();
-            AssembledBlock::new(&positions, &v.decisions, entities, v.stats)
+            AssembledBlock::new(&positions, v.decisions.iter().cloned(), entities, v.stats)
         })
         .collect();
     assemble_repair(relation, blocks, threads)
@@ -452,19 +452,18 @@ struct AssembledBlock {
 
 impl AssembledBlock {
     /// A block whose local row `i` sits at relation position `positions[i]`;
-    /// `entities` already hold rebased members.
+    /// `decisions` use local rows, `entities` already hold rebased members.
     fn new(
         positions: &[usize],
-        decisions: &[MatchDecision],
+        decisions: impl Iterator<Item = MatchDecision>,
         entities: Vec<(Vec<usize>, EntityResult)>,
         stats: ResolveStats,
     ) -> Self {
         let decisions = decisions
-            .iter()
             .map(|d| MatchDecision {
                 left: positions[d.left],
                 right: positions[d.right],
-                ..*d
+                ..d
             })
             .collect();
         AssembledBlock {

@@ -53,7 +53,7 @@ use relacc_core::chase::{
 };
 use relacc_model::{EntityInstance, MasterRelation, TargetTuple, Tuple, Value};
 use relacc_resolve::{
-    resolve_block, BlockKey, BlockWork, Blocker, IncrementalBlockingIndex, MatchDecision,
+    resolve_block, BlockKey, BlockWork, Blocker, DecisionTriangle, IncrementalBlockingIndex,
     PriorBlock, RecordFingerprint, ResolveConfig, ResolveStats,
 };
 use relacc_store::{Generation, Relation, RowId, UpdateBatch, UpdateError, VersionedRelation};
@@ -74,10 +74,14 @@ use std::sync::Arc;
 pub(crate) struct BlockRepair {
     /// The block's live rows at repair time, ascending.
     pub(crate) rows: Vec<RowId>,
-    /// Pairwise match decisions, with indices local to `rows`: the full
-    /// row-major upper triangle, which the next re-repair of the block
-    /// reuses for its surviving pairs.
-    pub(crate) decisions: Vec<MatchDecision>,
+    /// Pairwise match decisions over `rows`, which the next re-repair of
+    /// the block reuses for its surviving pairs.  The triangle keeps 9
+    /// bytes a pair: the similarity (`f64`) and one verdict byte (matched,
+    /// or the prune stage), with the pair `(a, b)`, `a < b`, of the block's
+    /// `n` rows at row-major position `a(2n − a − 1)/2 + (b − a − 1)`; its
+    /// two row indices are that position.  [`Epoch::snapshot`] and the
+    /// block views expand it into `MatchDecision`s.
+    pub(crate) decisions: DecisionTriangle,
     /// The block's entities in ascending-smallest-member order.
     pub(crate) entities: Vec<BlockEntity>,
     /// Fingerprints of `rows` (parallel), reused verbatim by the next

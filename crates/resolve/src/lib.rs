@@ -55,8 +55,8 @@ pub use blocking::{
 pub use fingerprint::{AttrFingerprint, RecordFingerprint};
 pub use incremental::{BlockKey, DirtyBlocks, IncrementalBlockingIndex};
 pub use resolve::{
-    resolve_block, resolve_relation, BlockResolution, BlockWork, MatchDecision, PriorBlock,
-    PruneStage, ResolveConfig, ResolveStats, ResolvedEntities,
+    resolve_block, resolve_relation, BlockResolution, BlockWork, DecisionTriangle, MatchDecision,
+    PriorBlock, PruneStage, ResolveConfig, ResolveStats, ResolvedEntities,
 };
 pub use similarity::{
     jaccard_tokens, levenshtein, levenshtein_with, normalized_levenshtein, record_similarity,

@@ -9,7 +9,26 @@
 //! Two entry points share one pairwise decision procedure:
 //! [`resolve_relation`] blocks a whole relation and resolves every block,
 //! and [`resolve_block`] resolves one block, optionally reusing the block's
-//! prior resolution.
+//! prior resolution.  A block's decisions are kept as a
+//! [`DecisionTriangle`]: 9 bytes a pair, addressed by the pair's position.
+//!
+//! **Stage 0: identical match values.**  With the cascade on, a pair whose
+//! two rows are equal (`Value` `==`) on every similarity attribute, with at
+//! least one of those values non-null, is decided before any bound: every
+//! informative attribute then scores exactly `1.0` (a string's distance to
+//! itself is 0 and its token sets coincide; any other value is
+//! [`Value::same`](relacc_model::Value::same) as itself), so
+//! [`record_similarity`](crate::similarity::record_similarity) is `k / k`
+//! = `1.0` in `f64` too.  The pair gets the decision the kernel gives —
+//! similarity `1.0`, matched, not pruned — provided `threshold <= 1.0`:
+//! then no upper bound (each is at least the true `1.0`) is below the
+//! threshold, so stages 1 and 2 could not have pruned it either.  A
+//! threshold above `1.0`, or NaN, fails that test and the pair runs the
+//! bounds as before.  Stage 0 counts as a computed pair in
+//! [`ResolveStats::dp_runs`], so every decision and counter is the one the
+//! cascade reports without stage 0.  Exact-key blocking on the match
+//! attribute makes most in-block pairs identical, which is where stage 0
+//! pays.
 //!
 //! **Why reusing a prior resolution is exact.**  A [`MatchDecision`] is a
 //! pure function of the two rows (and their fingerprints, themselves pure
@@ -23,7 +42,7 @@
 //! `a < b`, the prior's row-major triangle entry `(a, b)`.  Only pairs with
 //! a row new to the block run the cascade.  Union-find then runs
 //! over the complete decision list, so the clustering, the decisions and
-//! the stats derived from them ([`ResolveStats::of_decisions`]) equal a
+//! the stats derived from them ([`DecisionTriangle::stats`]) equal a
 //! from-scratch pass over the block.
 
 use crate::blocking::{Blocker, BlockingStrategy};
@@ -43,11 +62,14 @@ pub struct ResolveConfig {
     /// Blocking strategy (defaults to a 6-character key prefix, which tolerates
     /// typographic noise while keeping blocks small).
     pub strategy: BlockingStrategy,
-    /// Run the fingerprint cascade (length/popcount upper bounds, see
-    /// [`crate::fingerprint`]) before any string alignment.  The cascade is
-    /// exact — identical clustering either way — so this is on by default
-    /// and exists as a switch for differential tests and baseline
-    /// benchmarks.
+    /// Run the cascade before any string alignment: stage 0 decides a pair
+    /// with equal, not all-null match values as the kernel would (similarity
+    /// `1.0`, matched) when `threshold <= 1.0`, then the fingerprint bounds
+    /// (length/popcount upper bounds, see [`crate::fingerprint`]) prune
+    /// pairs provably below the threshold.  The cascade is exact — identical
+    /// decisions on every pair it does not prune, identical clustering —
+    /// so this is on by default and exists as a switch for differential
+    /// tests and baseline benchmarks.
     pub cascade: bool,
 }
 
@@ -75,9 +97,10 @@ impl ResolveConfig {
         self
     }
 
-    /// Disable the fingerprint cascade: every in-block pair goes straight to
-    /// the full similarity computation.  Output is identical (the cascade is
-    /// exact); only [`ResolveStats`] and per-pair costs differ.
+    /// Disable the cascade (stage 0 and the fingerprint bounds): every
+    /// in-block pair goes straight to the full similarity computation.
+    /// Output is identical (the cascade is exact); only [`ResolveStats`]
+    /// and per-pair costs differ.
     pub fn without_cascade(mut self) -> Self {
         self.cascade = false;
         self
@@ -145,7 +168,9 @@ pub struct MatchDecision {
     /// Whether the pair was merged.
     pub matched: bool,
     /// `Some(stage)` when the cascade pruned the pair before any string
-    /// alignment; `None` for fully computed pairs.
+    /// alignment; `None` for fully computed pairs, which include the pairs
+    /// stage 0 decided without alignment (identical match values: their
+    /// similarity is exactly the kernel's `1.0`).
     pub pruned: Option<PruneStage>,
 }
 
@@ -161,7 +186,9 @@ pub struct ResolveStats {
     /// Pairs discarded by the stage-2 popcount fingerprint bounds.
     pub pruned_by_fingerprint: usize,
     /// Pairs that ran the full similarity computation (bit-parallel or DP
-    /// alignment plus token Jaccard).
+    /// alignment plus token Jaccard).  Pairs stage 0 decided count here
+    /// too: their similarity is the one the computation gives, so the
+    /// counters do not depend on which pairs took the shortcut.
     pub dp_runs: usize,
 }
 
@@ -170,12 +197,15 @@ impl ResolveStats {
     /// decision is one considered pair, and its `pruned` field names the
     /// stage that settled it (`None`: the full computation ran).
     pub fn of_decisions(decisions: &[MatchDecision]) -> Self {
-        let mut stats = ResolveStats {
-            pairs_considered: decisions.len(),
-            ..ResolveStats::default()
-        };
-        for decision in decisions {
-            match decision.pruned {
+        Self::of_prunes(decisions.iter().map(|decision| decision.pruned))
+    }
+
+    /// The counters of one pair per item, each naming its prune stage.
+    fn of_prunes(prunes: impl Iterator<Item = Option<PruneStage>>) -> Self {
+        let mut stats = ResolveStats::default();
+        for pruned in prunes {
+            stats.pairs_considered += 1;
+            match pruned {
                 Some(PruneStage::Length) => stats.pruned_by_length += 1,
                 Some(PruneStage::Fingerprint) => stats.pruned_by_fingerprint += 1,
                 None => stats.dp_runs += 1,
@@ -346,10 +376,11 @@ impl<'a> Cascade<'a> {
     }
 
     /// Decide the pair `(left, right)` of `rows`.  With the cascade on,
-    /// `fingerprints` is parallel to `rows`, and the pair is pruned on an
-    /// upper bound strictly below the threshold (`matched` tests `>=`, so
-    /// `ub < threshold` proves the pair unmatched); otherwise it runs the
-    /// full similarity.
+    /// `fingerprints` is parallel to `rows`; a pair with identical match
+    /// values gets the kernel's decision at stage 0 (see the module docs),
+    /// and any other pair is pruned on an upper bound strictly below the
+    /// threshold (`matched` tests `>=`, so `ub < threshold` proves the pair
+    /// unmatched); otherwise it runs the full similarity.
     fn decide(
         &mut self,
         rows: &[Tuple],
@@ -357,6 +388,17 @@ impl<'a> Cascade<'a> {
         left: usize,
         right: usize,
     ) -> MatchDecision {
+        // written as `<=` so that a NaN threshold falls through
+        if self.cascade && self.threshold <= 1.0 && identical(&rows[left], &rows[right], self.attrs)
+        {
+            return MatchDecision {
+                left,
+                right,
+                similarity: 1.0,
+                matched: true,
+                pruned: None,
+            };
+        }
         let bound = if self.cascade {
             let (a, b) = (&fingerprints[left], &fingerprints[right]);
             let stage1 = a.stage1_upper_bound(b);
@@ -391,19 +433,38 @@ impl<'a> Cascade<'a> {
     }
 }
 
+/// Stage 0's test: `a` and `b` are equal on every attribute of `attrs`, and
+/// at least one of those values is non-null, so their record similarity is
+/// exactly `1.0`.
+fn identical(a: &Tuple, b: &Tuple, attrs: &[AttrId]) -> bool {
+    let mut informative = false;
+    for &attr in attrs {
+        let value = a.value(attr);
+        if value != b.value(attr) {
+            return false;
+        }
+        informative |= !value.is_null();
+    }
+    informative
+}
+
 /// Resolve a relation into entity instances.
 ///
 /// Records are blocked on the match attributes; every pair inside a block
-/// runs the three-stage similarity cascade: (1) count bounds (length, token
-/// counts, nulls), (2) popcount fingerprint bounds, (3) the full
+/// runs the similarity cascade: (0) identical match values, which the
+/// kernel scores exactly `1.0` (decided without it when the threshold is at
+/// most `1.0`), (1) count bounds (length, token counts, nulls), (2)
+/// popcount fingerprint bounds, (3) the full
 /// [`record_similarity`](crate::similarity::record_similarity) — bit-parallel
-/// Levenshtein for strings up to 64 chars, two-row DP above.  Stages 1 and 2
-/// are exact filters (a pruned pair is provably below the threshold, see
-/// [`crate::fingerprint`]), so the clustering is identical to comparing
-/// every pair in full.  Pairs at or above the threshold are merged, and the
-/// transitive closure of the merges (union-find) defines the entities.  Each
-/// entity instance keeps the full rows of its records under the input
-/// schema, ready to be wrapped in a `Specification`.
+/// Levenshtein for strings up to 64 chars, two-row DP above.  Stage 0 gives
+/// the kernel's own decision, and stages 1 and 2 are exact filters (a
+/// pruned pair is provably below the threshold, see
+/// [`crate::fingerprint`]), so the decisions of unpruned pairs and the
+/// clustering are identical to comparing every pair in full.  Pairs at or
+/// above the threshold are merged, and the transitive closure of the merges
+/// (union-find) defines the entities.  Each entity instance keeps the full
+/// rows of its records under the input schema, ready to be wrapped in a
+/// `Specification`.
 ///
 /// Fingerprints are computed here, once per record.  Callers that keep one
 /// block's resolution across updates (the incremental engine's block cache)
@@ -452,6 +513,116 @@ pub fn resolve_relation(relation: &Relation, config: &ResolveConfig) -> Resolved
     ResolvedEntities::from_parts(entities, members, decisions, stats)
 }
 
+/// The verdict byte of a [`DecisionTriangle`] pair: computed and unmatched.
+const COMPUTED: u8 = 0;
+/// Computed and matched.
+const MATCHED: u8 = 1;
+/// Pruned by the stage-1 count bounds.
+const PRUNED_BY_LENGTH: u8 = 2;
+/// Pruned by the stage-2 fingerprint bounds.
+const PRUNED_BY_FINGERPRINT: u8 = 3;
+
+/// One block's match decisions, one per pair of its rows, in 9 bytes a
+/// pair: a [`MatchDecision`] without the two row indices, which the pair's
+/// position gives.
+///
+/// The pair `(a, b)`, `a < b`, of an `n`-row block sits at position
+/// `a(2n − a − 1)/2 + (b − a − 1)` of the row-major upper triangle:
+/// `(0, 1), (0, 2), …, (0, n−1), (1, 2), …`, the order in which
+/// [`resolve_relation`] lists a block's decisions.  The similarity is kept
+/// as an `f64` array, and the verdict (matched, or the prune stage) as a
+/// parallel byte array.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DecisionTriangle {
+    rows: usize,
+    similarity: Vec<f64>,
+    verdict: Vec<u8>,
+}
+
+impl DecisionTriangle {
+    /// An empty triangle with room for every pair of `rows` rows.
+    fn with_rows(rows: usize) -> Self {
+        DecisionTriangle {
+            rows,
+            similarity: Vec::with_capacity(pair_count(rows)),
+            verdict: Vec::with_capacity(pair_count(rows)),
+        }
+    }
+
+    /// Append the next pair's decision, in row-major order.
+    fn push(&mut self, decision: &MatchDecision) {
+        let verdict = match (decision.matched, decision.pruned) {
+            (false, None) => COMPUTED,
+            (true, None) => MATCHED,
+            (false, Some(PruneStage::Length)) => PRUNED_BY_LENGTH,
+            (false, Some(PruneStage::Fingerprint)) => PRUNED_BY_FINGERPRINT,
+            (true, Some(_)) => unreachable!("pruned pairs never match"),
+        };
+        self.similarity.push(decision.similarity);
+        self.verdict.push(verdict);
+    }
+
+    /// Append the decision at position `pos` of `other`.
+    fn push_from(&mut self, other: &DecisionTriangle, pos: usize) {
+        self.similarity.push(other.similarity[pos]);
+        self.verdict.push(other.verdict[pos]);
+    }
+
+    /// Number of rows the triangle pairs up.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of pairs: `rows · (rows − 1) / 2` once complete.
+    pub fn len(&self) -> usize {
+        self.verdict.len()
+    }
+
+    /// True when the triangle holds no pair.
+    pub fn is_empty(&self) -> bool {
+        self.verdict.is_empty()
+    }
+
+    /// The decisions in row-major order, each naming its two row positions.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = MatchDecision> + '_ {
+        let n = self.rows;
+        // the previous pair: from (0, 0), the first step yields (0, 1)
+        let (mut left, mut right) = (0, 0);
+        self.similarity
+            .iter()
+            .zip(&self.verdict)
+            .map(move |(&similarity, &verdict)| {
+                right += 1;
+                if right == n {
+                    left += 1;
+                    right = left + 1;
+                }
+                MatchDecision {
+                    left,
+                    right,
+                    similarity,
+                    matched: verdict == MATCHED,
+                    pruned: prune_stage(verdict),
+                }
+            })
+    }
+
+    /// The cascade counters of these decisions
+    /// ([`ResolveStats::of_decisions`] over [`Self::iter`]).
+    pub fn stats(&self) -> ResolveStats {
+        ResolveStats::of_prunes(self.verdict.iter().map(|&verdict| prune_stage(verdict)))
+    }
+}
+
+/// The prune stage a verdict byte records.
+fn prune_stage(verdict: u8) -> Option<PruneStage> {
+    match verdict {
+        PRUNED_BY_LENGTH => Some(PruneStage::Length),
+        PRUNED_BY_FINGERPRINT => Some(PruneStage::Fingerprint),
+        _ => None,
+    }
+}
+
 /// A block's previous resolution, as [`resolve_block`] reuses it: the
 /// `rows`, `decisions` and `fingerprints` of an earlier
 /// [`BlockResolution`] of the same block.
@@ -459,8 +630,8 @@ pub fn resolve_relation(relation: &Relation, config: &ResolveConfig) -> Resolved
 pub struct PriorBlock<'a> {
     /// The block's row ids at that resolution, ascending.
     pub rows: &'a [RowId],
-    /// Its decisions: the full row-major upper triangle over `rows`.
-    pub decisions: &'a [MatchDecision],
+    /// Its decisions: the full triangle over `rows`.
+    pub decisions: &'a DecisionTriangle,
     /// Fingerprints of `rows` (parallel); empty without the cascade.
     pub fingerprints: &'a [RecordFingerprint],
 }
@@ -484,8 +655,8 @@ pub struct BlockResolution {
     /// The block's entities as ascending positions, in order of smallest
     /// member.
     pub members: Vec<Vec<usize>>,
-    /// One decision per pair: the full row-major upper triangle.
-    pub decisions: Vec<MatchDecision>,
+    /// One decision per pair: the full triangle over the block's rows.
+    pub decisions: DecisionTriangle,
     /// Fingerprints of the rows (parallel); empty without the cascade.
     pub fingerprints: Vec<RecordFingerprint>,
     /// Cascade counters derived from `decisions`: what a from-scratch pass
@@ -509,7 +680,8 @@ fn ascending(ids: &[RowId]) -> bool {
 /// Resolve one block: `rows` (with their ascending ids `ids`) all share a
 /// blocking key, so every pair is compared and nothing is re-blocked.  The
 /// output equals what [`resolve_relation`] decides for this block, rebased
-/// to block positions.
+/// to block positions; [`DecisionTriangle::iter`] lists the decisions in
+/// the same order.
 ///
 /// With a `prior` resolution of the same block, a pair of two rows the
 /// prior also held copies its prior decision (similarity, verdict, prune
@@ -523,7 +695,7 @@ fn ascending(ids: &[RowId]) -> bool {
 ///
 /// # Panics
 /// If `rows` and `ids` differ in length, either id list does not strictly
-/// ascend, or `prior.decisions` is not one decision per pair of
+/// ascend, or `prior.decisions` is not the complete triangle over
 /// `prior.rows`.
 pub fn resolve_block(
     rows: &[Tuple],
@@ -543,9 +715,8 @@ pub fn resolve_block(
     let prior_rows = prior.map_or(0, |p| p.rows.len());
     if let Some(prior) = prior {
         assert!(ascending(prior.rows), "prior row ids ascend");
-        assert_eq!(
-            prior.decisions.len(),
-            pair_count(prior_rows),
+        assert!(
+            prior.decisions.rows() == prior_rows && prior.decisions.len() == pair_count(prior_rows),
             "the prior holds one decision per pair"
         );
         let mut old = prior.rows.iter().enumerate().peekable();
@@ -577,38 +748,34 @@ pub fn resolve_block(
 
     let mut cascade = Cascade::new(config, attrs);
     let mut uf = UnionFind::new(n);
-    let mut decisions = Vec::with_capacity(pair_count(n));
+    let mut decisions = DecisionTriangle::with_rows(n);
     for (i, &old_left) in survivor.iter().enumerate() {
         // the prior triangle's row of `i`: pair (a, b) sits at start + b - a - 1
         let prior_row = old_left.map(|a| (a, a * (2 * prior_rows - a - 1) / 2));
         for (j, &old_right) in survivor.iter().enumerate().skip(i + 1) {
-            let decision = match (prior, prior_row, old_right) {
+            let matched = match (prior, prior_row, old_right) {
                 (Some(prior), Some((a, start)), Some(b)) => {
                     work.pairs_reused += 1;
-                    let old = &prior.decisions[start + b - a - 1];
-                    MatchDecision {
-                        left: i,
-                        right: j,
-                        similarity: old.similarity,
-                        matched: old.matched,
-                        pruned: old.pruned,
-                    }
+                    let pos = start + b - a - 1;
+                    decisions.push_from(prior.decisions, pos);
+                    prior.decisions.verdict[pos] == MATCHED
                 }
                 _ => {
                     work.pairs_compared += 1;
-                    cascade.decide(rows, &fingerprints, i, j)
+                    let decision = cascade.decide(rows, &fingerprints, i, j);
+                    decisions.push(&decision);
+                    decision.matched
                 }
             };
-            if decision.matched {
+            if matched {
                 uf.union(i, j);
             }
-            decisions.push(decision);
         }
     }
 
     BlockResolution {
         members: uf.clusters(),
-        stats: ResolveStats::of_decisions(&decisions),
+        stats: decisions.stats(),
         decisions,
         fingerprints,
         work,
@@ -746,8 +913,9 @@ mod tests {
     #[test]
     fn resolve_block_reuses_surviving_pairs_exactly() {
         let relation = player_relation();
-        // one block of Jordans and near misses, so its pairs are matched,
-        // computed-but-unmatched and pruned
+        // one block of Jordans and near misses, so its pairs are decided by
+        // every stage: identical (stage 0), matched, computed-but-unmatched
+        // and pruned by either bound
         let names = [
             "Michael Jordan",
             "Michael  Jordan",
@@ -756,6 +924,10 @@ mod tests {
             // same characters, shifted: no bound prunes it, yet it is far
             "Mjordanichael",
             "Mi",
+            // the first name again, in its own allocation
+            "Michael Jordan",
+            // as long as the first, so only the fingerprint bound prunes it
+            "Mzzzzzzzzzzzzz",
         ];
         let rows: Vec<Tuple> = names
             .iter()
@@ -773,9 +945,10 @@ mod tests {
         let ids: Vec<RowId> = (0..4).map(RowId).collect();
         let prior = resolve_block(&rows[..4], &ids, &attrs, &config, None);
         assert_eq!(prior.work.pairs_compared, 6);
+        assert_eq!((prior.decisions.rows(), prior.decisions.len()), (4, 6));
 
-        // row 1 leaves; rows 4 and 5 arrive with larger ids
-        let kept: Vec<usize> = vec![0, 2, 3, 4, 5];
+        // row 1 leaves; rows 4 to 7 arrive with larger ids
+        let kept: Vec<usize> = vec![0, 2, 3, 4, 5, 6, 7];
         let new_rows: Vec<Tuple> = kept.iter().map(|&i| rows[i].clone()).collect();
         let new_ids: Vec<RowId> = kept.iter().map(|&i| RowId(i as u64)).collect();
         let reused = resolve_block(
@@ -794,26 +967,39 @@ mod tests {
         assert_eq!(reused.decisions, scratch.decisions);
         assert_eq!(reused.stats, scratch.stats);
         assert_eq!(reused.fingerprints.len(), new_rows.len());
-        // the 3 surviving rows' 3 pairs are copied; the 7 pairs with a new
+        // the 3 surviving rows' 3 pairs are copied; the 18 pairs with a new
         // row are compared
         assert_eq!(
             reused.work,
             BlockWork {
-                pairs_compared: 7,
+                pairs_compared: 18,
                 pairs_reused: 3,
-                rows_fingerprinted: 2,
+                rows_fingerprinted: 4,
                 fingerprints_reused: 3,
             }
         );
-        let kinds = |d: &MatchDecision| (d.matched, d.pruned.is_some());
-        for kind in [(true, false), (false, false), (false, true)] {
+        let decisions: Vec<MatchDecision> = scratch.decisions.iter().collect();
+        let kinds = |d: &MatchDecision| (d.matched, d.pruned);
+        for kind in [
+            (true, None),
+            (false, None),
+            (false, Some(PruneStage::Length)),
+            (false, Some(PruneStage::Fingerprint)),
+        ] {
             assert!(
-                scratch.decisions.iter().any(|d| kinds(d) == kind),
+                decisions.iter().any(|d| kinds(d) == kind),
                 "the block holds a {kind:?} pair"
             );
         }
+        // the identical pair: rows 0 and 6, at block positions 0 and 5
+        let identical = decisions.iter().find(|d| (d.left, d.right) == (0, 5));
+        assert_eq!(
+            identical.map(|d| (d.similarity, d.matched, d.pruned)),
+            Some((1.0, true, None))
+        );
 
-        // the block equals what resolve_relation decides over the same rows
+        // the triangle turns back into what resolve_relation decides over
+        // the same rows
         let local = Relation::from_rows(
             relation.schema().clone(),
             new_rows.iter().map(|t| t.values().to_vec()).collect(),
@@ -824,8 +1010,66 @@ mod tests {
             &config.clone().with_strategy(BlockingStrategy::Prefix(1)),
         );
         assert_eq!(full.members, scratch.members);
-        assert_eq!(full.decisions, scratch.decisions);
+        assert_eq!(full.decisions, decisions);
         assert_eq!(full.stats, scratch.stats);
+        assert_eq!(scratch.decisions.stats(), scratch.stats);
+        assert_eq!(
+            (scratch.decisions.rows(), scratch.decisions.len()),
+            (7, pair_count(7))
+        );
+    }
+
+    #[test]
+    fn stage_zero_needs_a_threshold_of_at_most_one() {
+        let relation = player_relation();
+        // equal on the match attribute, from separate allocations
+        let rows: Vec<Tuple> = [16, 27]
+            .into_iter()
+            .map(|rnds| {
+                Tuple::new(vec![
+                    Value::text(String::from("Michael Jordan")),
+                    Value::text("Chicago"),
+                    Value::Int(rnds),
+                ])
+            })
+            .collect();
+        let ids = [RowId(0), RowId(1)];
+        let attrs =
+            ResolveConfig::on_attrs(vec!["name".into()]).similarity_attrs(relation.schema());
+        let decide = |threshold: f64| {
+            let config = ResolveConfig::on_attrs(vec!["name".into()]).with_threshold(threshold);
+            let block = resolve_block(&rows, &ids, &attrs, &config, None);
+            let decisions: Vec<MatchDecision> = block.decisions.iter().collect();
+            assert_eq!(decisions.len(), 1);
+            decisions[0].clone()
+        };
+        // above 1.0 the stage-1 bound of an identical pair (at least the
+        // true 1.0, yet below the threshold) prunes it, as without stage 0
+        let bound = RecordFingerprint::of_tuple(&rows[0], &attrs)
+            .stage1_upper_bound(&RecordFingerprint::of_tuple(&rows[1], &attrs));
+        assert!((1.0..1.1).contains(&bound));
+        assert_eq!(
+            decide(1.1),
+            MatchDecision {
+                left: 0,
+                right: 1,
+                similarity: bound,
+                matched: false,
+                pruned: Some(PruneStage::Length),
+            }
+        );
+        // a NaN threshold prunes nothing and matches nothing: the kernel
+        // runs and its 1.0 is not `>=` NaN
+        assert_eq!(
+            decide(f64::NAN),
+            MatchDecision {
+                left: 0,
+                right: 1,
+                similarity: 1.0,
+                matched: false,
+                pruned: None,
+            }
+        );
     }
 
     #[test]
